@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -230,6 +231,17 @@ def _selftest_checks():
         G = sample_graph(W, 6, seed=11)
         return count_copies(k3, G) == 20  # C(6,3)
 
+    def complete_graph_counts(n):
+        # c4 takes the Moebius sum over four quotients, k4 the pinning branch
+        G = LabeledGraph.complete(n)
+        expected = {
+            LabeledGraph.cycle(4): 3 * math.comb(n, 4),
+            LabeledGraph.complete(4): math.comb(n, 4),
+            LabeledGraph.star(3): n * math.comb(n - 1, 3),
+            LabeledGraph.path(3): math.factorial(n) // (2 * math.factorial(n - 4)),
+        }
+        return all(count_copies(H, G) == count for H, count in expected.items())
+
     return [
         ("two_point kernel on the two-block graphon (p=0.3)", lambda: two_point_two_block(0.3)),
         ("two_point kernel on the two-block graphon (p=0.9)", lambda: two_point_two_block(0.9)),
@@ -246,6 +258,8 @@ def _selftest_checks():
         ("automorphism counts", automorphisms),
         ("vertex join of two 2-stars at the centers is a 4-star", star_join),
         ("all-ones kernel samples the complete graph", complete_sampling),
+        ("c4, k4, star3 and path3 counts in K_6", lambda: complete_graph_counts(6)),
+        ("c4, k4, star3 and path3 counts in K_9", lambda: complete_graph_counts(9)),
     ]
 
 

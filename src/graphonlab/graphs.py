@@ -3,6 +3,12 @@
 Vertices are labeled 1..n throughout. Edges of simple graphs are unordered
 pairs stored as (a, b) with a < b; multigraph edges carry a multiplicity.
 All types are immutable and safe to share across workers.
+
+Copies are counted in the homomorphism basis on a 0/1 adjacency matrix:
+injective homomorphisms are a Moebius sum of homomorphism counts of the
+loopless quotients of the pattern (Lovasz, Large Networks and Graph
+Limits, 5.2), and each homomorphism count sums out pattern vertices one at
+a time.
 """
 
 from __future__ import annotations
@@ -10,7 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -18,6 +27,10 @@ Edge = tuple[int, int]
 AUTOMORPHISM_VERTEX_BOUND = 10
 # Copy counting and density computations refuse patterns above this size.
 PATTERN_VERTEX_BOUND = 8
+# Copy counting refuses hosts with n^|V(H)| at or above this: float64 holds
+# every integer below 2^53 exactly, and every homomorphism count of a
+# quotient of H is at most n^|V(H)|.
+EXACT_COUNT_BOUND = 2**53
 
 
 def _sorted_edge(a: int, b: int) -> Edge:
@@ -89,6 +102,12 @@ class LabeledGraph:
 
     def to_json_dict(self) -> dict:
         return {"n": self.vertex_count, "edges": [list(e) for e in self.sorted_edges()]}
+
+    @cached_property
+    def counting_plan(self) -> "CountingPlan":
+        """Quotient terms and |Aut| for counting copies of this pattern;
+        built on first use and kept with the graph."""
+        return _counting_plan(self)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LabeledGraph":
@@ -281,89 +300,190 @@ def strong_edge_join(
     return MultiGraph(H1.vertex_count + H2.vertex_count - 2, tuple(sorted(mult.items())))
 
 
-def _pattern_order(H: LabeledGraph) -> list[int]:
-    """Vertex order for backtracking: max degree first, then greedily the
-    vertex with the most already-placed neighbors."""
-    deg = H.degrees()
-    nbrs: dict[int, set[int]] = {u: set() for u in range(1, H.vertex_count + 1)}
-    for a, b in H.edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    order: list[int] = []
-    placed: set[int] = set()
-    remaining = set(range(1, H.vertex_count + 1))
-    while remaining:
-        u = max(remaining, key=lambda w: (len(nbrs[w] & placed), deg[w - 1], -w))
-        order.append(u)
-        placed.add(u)
-        remaining.remove(u)
-    return order
+def _set_partitions(v: int) -> Iterator[tuple[int, ...]]:
+    """Set partitions of {1..v} as restricted growth strings: entry i is the
+    block of vertex i+1, blocks numbered in order of first appearance."""
+    labels = [0] * v
+
+    def rec(i: int, blocks: int) -> Iterator[tuple[int, ...]]:
+        if i == v:
+            yield tuple(labels)
+            return
+        for b in range(blocks + 1):
+            labels[i] = b
+            yield from rec(i + 1, max(blocks, b + 1))
+
+    return rec(1, 1)
 
 
-def count_injective_homomorphisms(H: LabeledGraph, G: LabeledGraph) -> int:
-    """Injective maps V(H) -> V(G) sending every edge of H to an edge of G.
+@dataclass(frozen=True)
+class CountingPlan:
+    """inj(H, G) = sum of coefficient * hom(quotient, G) over the loopless
+    quotients H/P, P a set partition of V(H), with the Moebius coefficient
+    mu(P) = prod over blocks B of (-1)^(|B|-1) (|B|-1)!. Quotients with the
+    same edge set are merged and zero coefficients dropped."""
 
-    Backtracking over a bitmask adjacency with degree pruning; the final
-    pattern vertex is counted by popcount instead of iterated.
-    """
-    if H.vertex_count > PATTERN_VERTEX_BOUND:
+    terms: tuple[tuple[int, LabeledGraph], ...]
+    automorphisms: int
+
+
+def _counting_plan(H: LabeledGraph) -> CountingPlan:
+    v = H.vertex_count
+    if v > PATTERN_VERTEX_BOUND:
         raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices")
-    if H.vertex_count > G.vertex_count:
+    coefficients: dict[LabeledGraph, int] = {}
+    for labels in _set_partitions(v):
+        if any(labels[a - 1] == labels[b - 1] for a, b in H.edges):
+            continue
+        blocks = max(labels) + 1
+        mu = 1
+        for block in range(blocks):
+            size = labels.count(block)
+            mu *= (-1) ** (size - 1) * math.factorial(size - 1)
+        quotient = LabeledGraph.from_edges(
+            blocks, ((labels[a - 1] + 1, labels[b - 1] + 1) for a, b in H.edges)
+        )
+        coefficients[quotient] = coefficients.get(quotient, 0) + mu
+    terms = tuple((c, F) for F, c in coefficients.items() if c != 0)
+    return CountingPlan(terms, automorphism_count(H))
+
+
+def _rows(pair: dict, a: int, b: int) -> np.ndarray:
+    """Remove the pairwise factor between a and b from `pair` and return it
+    with a's index on the rows."""
+    M = pair.pop(_sorted_edge(a, b))
+    return M if a < b else M.T
+
+
+def _eliminate(unary: dict, pair: dict, size: int) -> int:
+    """Sum over maps of the remaining pattern vertices into `size` host
+    vertices of the product of the unary factors (None: all ones) and the
+    pairwise factors, keyed (a, b) with a < b and rows indexed by a.
+
+    Vertices of degree 0, 1 and 2 are summed out by a sum, a matrix-vector
+    product and a matrix product; when every remaining vertex has degree
+    >= 3, the vertex of largest degree is pinned to each host vertex in
+    turn. Every intermediate entry counts partial homomorphisms, so it is
+    an integer of at most n^|V(H)|, which float64 holds exactly under
+    EXACT_COUNT_BOUND.
+    """
+    unary = dict(unary)
+    pair = dict(pair)
+    total = 1
+    while unary:
+        nbrs: dict[int, list[int]] = {u: [] for u in unary}
+        for a, b in pair:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        u = min(unary, key=lambda w: len(nbrs[w]))
+        degree = len(nbrs[u])
+        if degree >= 3:
+            return total * _pin(unary, pair, nbrs, size)
+        f = unary.pop(u)
+        if degree == 0:
+            total *= size if f is None else round(float(f.sum()))
+            if total == 0:
+                return 0
+        elif degree == 1:
+            (w,) = nbrs[u]
+            M = _rows(pair, w, u)
+            message = M.sum(axis=1) if f is None else M @ f
+            unary[w] = message if unary[w] is None else unary[w] * message
+        else:
+            w, x = nbrs[u]
+            left = _rows(pair, w, u)
+            if f is not None:
+                left = left * f
+            P = left @ _rows(pair, u, x)
+            if w > x:
+                P = P.T
+            k = _sorted_edge(w, x)
+            pair[k] = P if k not in pair else pair[k] * P
+    return total
+
+
+def _pin(unary: dict, pair: dict, nbrs: dict, size: int) -> int:
+    """Sum of _eliminate over every host vertex for the pattern vertex of
+    largest degree. When that vertex is adjacent to every other remaining
+    vertex, each of them lies in its neighbourhood and the host shrinks to
+    it."""
+    p = max(unary, key=lambda w: len(nbrs[w]))
+    f = unary.pop(p)
+    rows = {w: _rows(pair, p, w) for w in nbrs[p]}
+    restrict = len(rows) == len(unary)
+    total = 0
+    for a in range(size):
+        if f is not None and f[a] == 0:
+            continue
+        sub_unary = dict(unary)
+        for w, R in rows.items():
+            sub_unary[w] = R[a] if sub_unary[w] is None else sub_unary[w] * R[a]
+        sub_pair, sub_size = pair, size
+        if restrict:
+            keep = np.flatnonzero(np.logical_or.reduce([R[a] != 0 for R in rows.values()]))
+            if keep.size == 0:
+                continue
+            sub_unary = {w: g[keep] for w, g in sub_unary.items()}
+            cut: dict[int, np.ndarray] = {}
+            for M in pair.values():
+                if id(M) not in cut:
+                    cut[id(M)] = M[np.ix_(keep, keep)]
+            sub_pair = {k: cut[id(M)] for k, M in pair.items()}
+            sub_size = keep.size
+        h = _eliminate(sub_unary, sub_pair, sub_size)
+        total += h if f is None else round(float(f[a])) * h
+    return total
+
+
+def _hom(F: LabeledGraph, A: np.ndarray) -> int:
+    """Homomorphisms from F into the host with 0/1 adjacency matrix A."""
+    return _eliminate(dict.fromkeys(range(1, F.vertex_count + 1)),
+                      dict.fromkeys(F.edges, A), A.shape[0])
+
+
+def _adjacency(G: LabeledGraph | np.ndarray) -> np.ndarray:
+    """Symmetric float64 0/1 adjacency matrix of G; an array is checked and
+    passed through."""
+    if isinstance(G, LabeledGraph):
+        A = np.zeros((G.vertex_count, G.vertex_count))
+        if G.edges:
+            a, b = (np.array(side) - 1 for side in zip(*G.edges))
+            A[a, b] = A[b, a] = 1.0
+        return A
+    A = np.asarray(G, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise ValueError("adjacency matrix must be square and non-empty")
+    if not (np.all((A == 0.0) | (A == 1.0)) and np.array_equal(A, A.T) and not A.diagonal().any()):
+        raise ValueError("adjacency matrix must be symmetric 0/1 with a zero diagonal")
+    return A
+
+
+def count_injective_homomorphisms(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
+    """Injective maps V(H) -> V(G) sending every edge of H to an edge of G,
+    as the Moebius sum of homomorphism counts over the quotients of H.
+
+    G is a LabeledGraph or its 0/1 adjacency matrix. The size bounds are
+    checked before any counting starts.
+    """
+    A = _adjacency(G)
+    n, v = A.shape[0], H.vertex_count
+    plan = H.counting_plan  # refuses patterns above PATTERN_VERTEX_BOUND
+    if v > n:
         raise ValueError("pattern has more vertices than the host graph")
-    n = G.vertex_count
-    adj = [0] * (n + 1)
-    for a, b in G.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    gdeg = [m.bit_count() for m in adj]
-    order = _pattern_order(H)
-    pos = {u: i for i, u in enumerate(order)}
-    hdeg = H.degrees()
-
-    all_hosts = ((1 << (n + 1)) - 1) & ~1  # bits 1..n
-    allowed = []
-    for u in order:
-        mask = 0
-        need = hdeg[u - 1]
-        for w in range(1, n + 1):
-            if gdeg[w] >= need:
-                mask |= 1 << w
-        allowed.append(mask & all_hosts)
-
-    # Each pattern edge constrains its later endpoint in the order.
-    parents: list[list[int]] = [[] for _ in order]
-    for a, b in H.edges:
-        i, j = pos[a], pos[b]
-        if i > j:
-            i, j = j, i
-        parents[j].append(i)
-
-    assigned = [0] * len(order)
-    last = len(order) - 1
-
-    def rec(i: int, used: int) -> int:
-        cand = allowed[i] & ~used
-        for j in parents[i]:
-            cand &= adj[assigned[j]]
-        if i == last:
-            return cand.bit_count()
-        total = 0
-        m = cand
-        while m:
-            bit = m & -m
-            assigned[i] = bit.bit_length() - 1
-            total += rec(i + 1, used | bit)
-            m ^= bit
-        return total
-
-    return rec(0, 0)
+    if n**v >= EXACT_COUNT_BOUND:
+        raise ValueError(
+            f"host size {n} to the power {v} reaches 2^53: float64 homomorphism "
+            "counts would no longer be exact"
+        )
+    return sum(c * _hom(F, A) for c, F in plan.terms)
 
 
-def count_copies(H: LabeledGraph, G: LabeledGraph) -> int:
+def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
     """Number of subgraphs of G isomorphic to H (injective homomorphisms
-    divided by the automorphism count)."""
+    divided by the automorphism count); G is a LabeledGraph or its 0/1
+    adjacency matrix."""
     inj = count_injective_homomorphisms(H, G)
-    aut = automorphism_count(H)
+    aut = H.counting_plan.automorphisms
     if inj % aut != 0:
         raise RuntimeError("injective homomorphism count not divisible by |Aut|")
     return inj // aut

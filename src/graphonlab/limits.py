@@ -34,6 +34,9 @@ MIXTURE = "mixture"
 # anything worse is treated as a bug.
 VARIANCE_CLAMP_TOL = 1e-10
 
+# Normal draws per step of a chi-square term in sample_limit.
+_DRAW_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class LimitLaw:
@@ -180,10 +183,14 @@ def sample_limit(law: LimitLaw, seed: int, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    if law.kind == GAUSSIAN:
-        return np.sqrt(law.tau2) * rng.standard_normal(count)
-    draws = np.sqrt(law.sigma2) * rng.standard_normal(count)
+    draws = rng.standard_normal(count)
+    draws *= np.sqrt(law.tau2 if law.kind == GAUSSIAN else law.sigma2)
     for lam in law.lambdas:
-        z = rng.standard_normal(count)
-        draws += lam * (z * z - 1.0)
+        # lam * (z * z - 1.0) in place, one chunk of the stream at a time
+        for i in range(0, count, _DRAW_CHUNK):
+            z = rng.standard_normal(min(_DRAW_CHUNK, count - i))
+            z *= z
+            z -= 1.0
+            z *= lam
+            draws[i : i + z.size] += z
     return draws

@@ -8,7 +8,7 @@ import numpy as np
 
 from .density import mean_count
 from .graphon import StepGraphon
-from .graphs import LabeledGraph, automorphism_count, count_copies, falling_factorial
+from .graphs import LabeledGraph, count_copies, falling_factorial
 from .limits import LimitLaw
 
 
@@ -22,9 +22,10 @@ class SampleRecord:
     normalized: float
 
 
-def sample_graph(W: StepGraphon, n: int, seed: int) -> LabeledGraph:
-    """Graph on n vertices: latent uniforms U_i pick blocks, edge (i, j) is
-    present when an independent uniform falls below the block value.
+def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
+    """Symmetric float64 0/1 adjacency matrix of a W-random graph on n
+    vertices: latent uniforms U_i pick blocks, edge (i, j) is present when
+    an independent uniform falls below the block value.
 
     The Philox stream is consumed as the n latent uniforms followed by the
     n(n-1)/2 edge uniforms in row-major (i < j) order, so identical
@@ -39,12 +40,17 @@ def sample_graph(W: StepGraphon, n: int, seed: int) -> LabeledGraph:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     latent = rng.random(n)
     blocks = np.asarray(W.block_index(latent))
-    iu, ju = np.triu_indices(n, k=1)
-    y = rng.random(iu.size)
-    probs = W.values[blocks[iu], blocks[ju]]
-    keep = y < probs
-    edges = zip((iu[keep] + 1).tolist(), (ju[keep] + 1).tolist())
-    return LabeledGraph.from_edges(n, edges)
+    upper = ~np.tri(n, dtype=bool)  # j > i; boolean indexing is row-major
+    A = np.zeros((n, n))
+    A[upper] = rng.random(n * (n - 1) // 2) < W.values[np.ix_(blocks, blocks)][upper]
+    A += A.T
+    return A
+
+
+def sample_graph(W: StepGraphon, n: int, seed: int) -> LabeledGraph:
+    """The graph of sample_adjacency(W, n, seed) as a LabeledGraph."""
+    rows, cols = np.nonzero(np.triu(sample_adjacency(W, n, seed)))
+    return LabeledGraph.from_edges(n, zip((rows + 1).tolist(), (cols + 1).tolist()))
 
 
 def normalized_statistic(
@@ -58,7 +64,7 @@ def normalized_statistic(
     if n < v:
         raise ValueError(f"host graph needs at least {v} vertices")
     raw = count_copies(H, G)
-    upper = falling_factorial(n, v) // automorphism_count(H)
+    upper = falling_factorial(n, v) // H.counting_plan.automorphisms
     if raw > upper:
         raise RuntimeError("copy count exceeds the complete-graph bound; counting bug")
     normalized = (raw - mean_count(H, W, n)) / float(n) ** law.scale_exponent

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from counting_oracles import backtrack_injective_homomorphisms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphonlab import graphs
 from graphonlab import (
     LabeledGraph,
     MultiGraph,
@@ -26,6 +28,27 @@ K3 = LabeledGraph.complete(3)
 K4 = LabeledGraph.complete(4)
 STAR2 = LabeledGraph.star(2)
 PATH4 = LabeledGraph.path(4)
+
+# Patterns that reach every branch of the counting engine: trees (degree-1
+# elimination), cycles (degree 2), K4, K5 and the wheel (pinning), and
+# patterns whose quotients are disconnected or carry isolated vertices.
+ZOO = {
+    "star3": LabeledGraph.star(3),
+    "path3": LabeledGraph.path(3),
+    "c4": LabeledGraph.cycle(4),
+    "k4": K4,
+    "c5": LabeledGraph.cycle(5),
+    "k5": LabeledGraph.complete(5),
+    "diamond": LabeledGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    "wheel4": LabeledGraph.from_edges(
+        5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5), (2, 5)]
+    ),
+    # pinning after elimination: weighted pin, and unequal pairwise factors
+    "k4_pendant": LabeledGraph.from_edges(5, [*K4.edges, (1, 5)]),
+    "k4_subdivided": LabeledGraph.from_edges(5, [*(K4.edges - {(1, 2)}), (1, 5), (2, 5)]),
+    "two_edges": LabeledGraph.from_edges(4, [(1, 2), (3, 4)]),
+    "isolated_vertex": LabeledGraph.from_edges(4, [(1, 2), (2, 3)]),
+}
 
 
 def exhaustive_copy_count(H: LabeledGraph, G: LabeledGraph) -> int:
@@ -231,6 +254,63 @@ class TestCountCopies:
 
     def test_single_vertex_pattern(self):
         assert count_copies(LabeledGraph.empty(1), K4) == 4
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_zoo_matches_exhaustive_enumeration(self, name):
+        H = ZOO[name]
+        rng = np.random.default_rng(sorted(ZOO).index(name))
+        for _ in range(3):
+            G = random_graph(rng, int(rng.integers(6, 11)), float(rng.uniform(0.3, 0.8)))
+            assert count_copies(H, G) == exhaustive_copy_count(H, G)
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_matches_backtracker(self, name):
+        H = ZOO[name]
+        rng = np.random.default_rng(100 + sorted(ZOO).index(name))
+        for _ in range(3):
+            G = random_graph(rng, int(rng.integers(20, 41)), float(rng.uniform(0.2, 0.7)))
+            expected = backtrack_injective_homomorphisms(H, G)
+            assert count_injective_homomorphisms(H, G) == expected
+            assert count_copies(H, G) * automorphism_count(H) == expected
+
+    def test_adjacency_array_host(self):
+        rng = np.random.default_rng(5)
+        G = random_graph(rng, 12, 0.5)
+        A = np.zeros((12, 12))
+        for a, b in G.edges:
+            A[a - 1, b - 1] = A[b - 1, a - 1] = 1
+        for H in (K3, ZOO["c4"], ZOO["k4"]):
+            assert count_copies(H, A) == count_copies(H, G)
+            assert count_copies(H, A.astype(bool)) == count_copies(H, G)
+
+    def test_rejects_malformed_adjacency(self):
+        A = np.ones((4, 4)) - np.eye(4)
+        for bad in (A[:3], A + np.eye(4), 0.5 * A, np.triu(A)):
+            with pytest.raises(ValueError):
+                count_copies(K3, bad)
+
+    def test_exactness_bound(self, monkeypatch):
+        # 98^8 < 2^53 <= 99^8; an edgeless pattern keeps the count cheap.
+        H = LabeledGraph.empty(8)
+        assert 98**8 < graphs.EXACT_COUNT_BOUND <= 99**8
+        assert count_injective_homomorphisms(H, LabeledGraph.empty(98)) == falling_factorial(98, 8)
+
+        def refuse(*args):
+            raise AssertionError("counting started above the exactness bound")
+
+        monkeypatch.setattr(graphs, "_hom", refuse)
+        with pytest.raises(ValueError, match=r"2\^53"):
+            count_copies(H, np.zeros((99, 99)))
+
+    def test_automorphisms_counted_once_per_pattern(self, monkeypatch):
+        calls = []
+        original = graphs.automorphism_count
+        monkeypatch.setattr(graphs, "automorphism_count", lambda H: calls.append(H) or original(H))
+        H = LabeledGraph.cycle(4)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            count_copies(H, random_graph(rng, 9, 0.5))
+        assert len(calls) == 1
 
 
 def test_falling_factorial():

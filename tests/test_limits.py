@@ -196,3 +196,23 @@ class TestSampleLimit:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             sample_limit(LimitLaw.gaussian(1.0, 2), seed=1, count=0)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            LimitLaw.gaussian(0.7, 3),
+            LimitLaw.mixture(1 / 64, (3 / 32,), 3),
+            LimitLaw.mixture(0.2, (0.4, -0.15, 1e-3), 4),
+        ],
+    )
+    def test_matches_whole_array_draws(self, law):
+        # the reference draws every term's normals in one call and scales
+        # out of place; the chunked, in-place sampler must agree bit for bit
+        for count in (1, 4095, 4097, 100_000):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
+            scale = law.tau2 if law.kind == "gaussian" else law.sigma2
+            expected = np.sqrt(scale) * rng.standard_normal(count)
+            for lam in law.lambdas:
+                z = rng.standard_normal(count)
+                expected += lam * (z * z - 1.0)
+            assert np.array_equal(sample_limit(law, seed=5, count=count), expected)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from counting_oracles import edge_list_sample_graph
 
 from graphonlab import (
     KernelSpec,
@@ -18,6 +19,8 @@ from graphonlab import (
     normalized_statistic,
     sample_graph,
 )
+from graphonlab.graphon import discretize
+from graphonlab.sampler import sample_adjacency
 
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
@@ -67,6 +70,26 @@ class TestSampleGraph:
     def test_rejects_zero_vertices(self):
         with pytest.raises(ValueError):
             sample_graph(as_step_graphon(KernelSpec.constant(0.5)), 0, 0)
+
+    @pytest.mark.parametrize(
+        "W",
+        [
+            as_step_graphon(KernelSpec.two_block_diagonal(0.5)),
+            as_step_graphon(KernelSpec.constant(0.37)),
+            discretize(KernelSpec.product(), 64),
+            StepGraphon(np.array([0.3, 0.7]), np.array([[0.2, 0.6], [0.6, 0.4]])),
+        ],
+    )
+    def test_matches_edge_list_sampler(self, W):
+        for n, seed in ((1, 0), (2, 5), (17, 1), (150, 20240817), (151, 3)):
+            expected = edge_list_sample_graph(W, n, seed)
+            assert sample_graph(W, n, seed) == expected
+            A = sample_adjacency(W, n, seed)
+            assert A.dtype == np.float64
+            assert np.array_equal(A, A.T)
+            rows, cols = np.nonzero(np.triu(A))
+            assert set(zip((rows + 1).tolist(), (cols + 1).tolist())) == expected.edges
+            assert np.all(np.isin(A, (0.0, 1.0))) and not A.diagonal().any()
 
 
 class TestNormalizedStatistic:

@@ -16,13 +16,24 @@ from graphonlab import (
     sample_limit,
 )
 from graphonlab.cli import main
-from graphonlab.simulate import replicate_seed
+from graphonlab.simulate import _sample_variance, replicate_seed
 
 STAR2 = LabeledGraph.star(2)
 K3 = LabeledGraph.complete(3)
 
 # small but non-degree-regular: Gaussian branch
 SKEWED = KernelSpec.custom((0.5, 0.5), [[0.4, 0.5], [0.5, 0.7]])
+
+
+def merged_support_ks(a, b) -> float:
+    """Reference KS statistic: both empirical CDFs at every point of the
+    merged sorted support."""
+    a_sorted = np.sort(np.asarray(a, dtype=float))
+    b_sorted = np.sort(np.asarray(b, dtype=float))
+    support = np.concatenate([a_sorted, b_sorted])
+    cdf_a = np.searchsorted(a_sorted, support, side="right") / a_sorted.size
+    cdf_b = np.searchsorted(b_sorted, support, side="right") / b_sorted.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def small_config(**overrides):
@@ -52,6 +63,31 @@ class TestKsDistance:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             ks_distance([], [1.0])
+
+    def test_matches_merged_support_evaluation(self):
+        rng = np.random.default_rng(17)
+        cases = [
+            (rng.standard_normal(400), rng.standard_normal(100_000)),
+            (rng.standard_normal(9000), rng.standard_normal(50) + 0.3),
+            (rng.integers(0, 5, 30).astype(float), rng.integers(0, 7, 5000).astype(float)),
+            (rng.integers(0, 3, 3000).astype(float), rng.integers(1, 4, 3000).astype(float)),
+            ([2.0], [1.0, 2.0, 2.0, 3.0]),
+            ([5.0, 5.0], [5.0]),
+        ]
+        for _ in range(30):
+            size_a, size_b = rng.integers(1, 60, 2)
+            cases.append((rng.integers(-4, 4, size_a) / 3.0, rng.integers(-4, 4, size_b) / 3.0))
+        for a, b in cases:
+            assert ks_distance(a, b) == merged_support_ks(a, b)
+            assert ks_distance(b, a) == merged_support_ks(a, b)
+
+
+def test_sample_variance_matches_numpy():
+    rng = np.random.default_rng(23)
+    for size in (2, 3, 127, 129, 4097, 100_000):
+        x = rng.standard_normal(size) * 3.0 + 1.5
+        expected = float(np.var(x, ddof=1))
+        assert _sample_variance(x.copy()) == expected
 
     def test_two_reference_samples_are_close(self):
         # calibrates the acceptance threshold: same law, different streams
