@@ -81,6 +81,13 @@ class TestKsDistance:
             assert ks_distance(a, b) == merged_support_ks(a, b)
             assert ks_distance(b, a) == merged_support_ks(a, b)
 
+    def test_two_reference_samples_are_close(self):
+        # calibrates the acceptance threshold: same law, different streams
+        law = LimitLaw.mixture(1 / 64, (3 / 32,), 3)
+        a = sample_limit(law, seed=100, count=10_000)
+        b = sample_limit(law, seed=200, count=10_000)
+        assert ks_distance(a, b) < 0.03
+
 
 def test_sample_variance_matches_numpy():
     rng = np.random.default_rng(23)
@@ -88,13 +95,6 @@ def test_sample_variance_matches_numpy():
         x = rng.standard_normal(size) * 3.0 + 1.5
         expected = float(np.var(x, ddof=1))
         assert _sample_variance(x.copy()) == expected
-
-    def test_two_reference_samples_are_close(self):
-        # calibrates the acceptance threshold: same law, different streams
-        law = LimitLaw.mixture(1 / 64, (3 / 32,), 3)
-        a = sample_limit(law, seed=100, count=10_000)
-        b = sample_limit(law, seed=200, count=10_000)
-        assert ks_distance(a, b) < 0.03
 
 
 class TestConfig:
