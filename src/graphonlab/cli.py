@@ -106,15 +106,16 @@ def _cmd_regularity(args) -> int:
 
 
 def _print_constants(H: LabeledGraph, W: StepGraphon, tol: float, prefix: str = "") -> None:
-    defect = regularity_defect(H, W)
-    regular = defect <= tol
-    print(f"{prefix}t = {hom_density(H, W)!r}")
+    regular = regularity_defect(H, W) <= tol
+    t = hom_density(H, W)
+    d_wh = dwh(H, W)
+    print(f"{prefix}t = {t!r}")
     print(f"{prefix}tau2 = {tau_squared(H, W)!r}")
     print(f"{prefix}sigma2 = {sigma_squared(H, W)!r}")
-    print(f"{prefix}d_wh = {dwh(H, W)!r}")
+    print(f"{prefix}d_wh = {d_wh!r}")
     print(f"{prefix}regular = {str(regular).lower()}")
     if regular:
-        lambdas = spec_minus(spectrum(two_point_graphon(H, W)), dwh(H, W))
+        lambdas = spec_minus(spectrum(two_point_graphon(H, W)), d_wh)
         print(f"{prefix}spec_minus = {lambdas.tolist()!r}")
     else:
         print(f"{prefix}spec_minus = n/a (kernel is not pattern-regular; d_wh advisory only)")
@@ -157,6 +158,8 @@ def _selftest_checks():
     k2 = LabeledGraph.complete(2)
     k3 = LabeledGraph.complete(3)
     star2 = LabeledGraph.star(2)
+    c4 = LabeledGraph.cycle(4)
+    path4 = LabeledGraph.path(4)
 
     def close(x, y, tol=1e-12):
         return abs(x - y) <= tol
@@ -193,15 +196,20 @@ def _selftest_checks():
         W = discretize(KernelSpec.product(), 256)
         return regularity_defect(star2, W) > 1e-4
 
-    def tau_product():
-        W = discretize(KernelSpec.product(), 256)
-        # star-4, path-4 and center-leaf joins of two 2-stars, by degree counting
-        target = float(Fraction(1, 80) + Fraction(4, 108) + Fraction(4, 96) - Fraction(9, 144)) / 4
-        return close(tau_squared(star2, W), target, 1e-3)
+    def tau_product(H):
+        # in xy the one-point conditional at a is t (d_a+1) x^(d_a) with
+        # t = prod_u 1/(d_u+1), so int t_a t_b = t^2 (d_a+1)(d_b+1)/(d_a+d_b+1)
+        deg, v = H.degrees(), H.vertex_count
+        t = Fraction(1, math.prod(d + 1 for d in deg))
+        joins = sum(t * t * (a + 1) * (b + 1) / Fraction(a + b + 1) for a in deg for b in deg)
+        target = float((joins - v * v * t * t) / automorphism_count(H) ** 2)
+        return close(tau_squared(H, discretize(KernelSpec.product(), 256)), target, 1e-3 * target)
 
-    def sigma_triangle(p):
-        W = as_step_graphon(KernelSpec.constant(p))
-        return close(sigma_squared(k3, W), p**5 * (1 - p) / 2.0)
+    def sigma_constant(H, p):
+        # every edge term is p^(2e-1)(1-p): 2 e^2 p^(2e-1) (1-p) / |Aut H|^2
+        e = H.edge_count
+        target = 2 * e * e * p ** (2 * e - 1) * (1 - p) / automorphism_count(H) ** 2
+        return close(sigma_squared(H, as_step_graphon(KernelSpec.constant(p))), target)
 
     def density_examples():
         ok = close(hom_density(k2, as_step_graphon(KernelSpec.constant(0.3))), 0.3)
@@ -219,7 +227,7 @@ def _selftest_checks():
         return (
             automorphism_count(k3) == 6
             and automorphism_count(star2) == 2
-            and automorphism_count(LabeledGraph.path(4)) == 2
+            and automorphism_count(path4) == 2
         )
 
     def star_join():
@@ -250,9 +258,11 @@ def _selftest_checks():
         ("spectrum and degree removal on the two-block graphon", spectrum_two_block),
         ("zero defects for constant and two-block kernels", defects_zero),
         ("product kernel is not 2-star regular", product_not_regular),
-        ("tau2 for the product kernel matches the separable value", tau_product),
-        ("sigma2 for triangles in the constant kernel (p=0.2)", lambda: sigma_triangle(0.2)),
-        ("sigma2 for triangles in the constant kernel (p=0.5)", lambda: sigma_triangle(0.5)),
+        ("tau2 for 2-stars in the product kernel (m=256)", lambda: tau_product(star2)),
+        ("sigma2 for triangles in the constant kernel (p=0.2)", lambda: sigma_constant(k3, 0.2)),
+        ("sigma2 for triangles in the constant kernel (p=0.5)", lambda: sigma_constant(k3, 0.5)),
+        ("sigma2 for 4-cycles in the constant kernel (p=0.4)", lambda: sigma_constant(c4, 0.4)),
+        ("tau2 for 4-edge paths in the product kernel (m=256)", lambda: tau_product(path4)),
         ("density spot checks", density_examples),
         ("mean count spot checks", mean_examples),
         ("automorphism counts", automorphisms),

@@ -110,6 +110,15 @@ def conditional_density(
     return ConditionalDensity(H, mk, W.block_weights, values)
 
 
+def _one_point_sum(H: LabeledGraph, W: StepGraphon) -> np.ndarray:
+    """S = sum over the vertices a of H of the one-point conditional
+    densities t_a, one value per block, summed in vertex order."""
+    total = np.zeros(W.block_count)
+    for a in range(1, H.vertex_count + 1):
+        total += conditional_density(H, (a,), W).values
+    return total
+
+
 def mean_count(H: LabeledGraph, W: StepGraphon, n: int) -> float:
     """Expected number of copies of H in a W-random graph on n vertices:
     (n)_{|V(H)|} / |Aut(H)| * t(H, W)."""
@@ -141,11 +150,7 @@ def regularity_defect(H: LabeledGraph, W: StepGraphon) -> float:
     all-ones kernel and for H-free kernels.
     """
     t = _check_degenerate(H, W)
-    v = H.vertex_count
-    total = np.zeros(W.block_count)
-    for a in range(1, v + 1):
-        total += conditional_density(H, (a,), W).values
-    return float(np.max(np.abs(total / v - t)))
+    return float(np.max(np.abs(_one_point_sum(H, W) / H.vertex_count - t)))
 
 
 def is_regular(H: LabeledGraph, W: StepGraphon, tol: float = REGULARITY_TOL) -> bool:

@@ -6,6 +6,16 @@ is regular the scale is n^(v - 1) and the limit is sigma * Z plus an
 independent weighted sum of centered chi-square variables whose weights are
 the nonzero eigenvalues of the two-point conditional kernel with one copy of
 its degree eigenvalue removed.
+
+Both variances come from Hoeffding projections of the count as a
+generalized U-statistic (Janson and Nowicki, PTRF 1991), so they need only
+conditional densities of H itself, with no pattern glued to itself:
+
+    tau2   = int (S - v t(H,W))^2 / |Aut H|^2,          S = sum_a t_a
+    sigma2 = 2 int W(1-W) S2^2 / |Aut H|^2,   S2 = sum_(a,b) t_{H-ab}
+
+over the vertices a and the sorted edges (a, b) of H, with t_{H-ab} the
+two-point conditional density of H minus that edge, a at x and b at y.
 """
 
 from __future__ import annotations
@@ -15,16 +25,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import REGULARITY_TOL, hom_density, regularity_defect, two_point_graphon
-from .graphon import StepGraphon
-from .graphs import (
-    PATTERN_VERTEX_BOUND,
-    LabeledGraph,
-    automorphism_count,
-    strong_edge_join,
-    vertex_join,
-    weak_edge_join,
+from .density import (
+    REGULARITY_TOL,
+    _one_point_sum,
+    conditional_density,
+    regularity_defect,
+    two_point_graphon,
 )
+from .graphon import StepGraphon
+from .graphs import LabeledGraph, automorphism_count
 from .spectral import DEGREE_MATCH_TOL, EIGENVALUE_TRUNCATION_TOL, dwh, spec_minus, spectrum
 
 GAUSSIAN = "gaussian"
@@ -110,46 +119,33 @@ def _clamp_variance(raw: float, name: str) -> float:
 
 
 def tau_squared(H: LabeledGraph, W: StepGraphon) -> float:
-    """Gaussian-branch variance: over all ordered vertex pairs (a, b), the
-    density of H glued to itself at a ~ b, minus v^2 t(H,W)^2, divided by
-    |Aut(H)|^2."""
-    v = H.vertex_count
-    if 2 * v - 1 > PATTERN_VERTEX_BOUND:
-        raise ValueError(
-            f"vertex join of the pattern with itself has {2 * v - 1} vertices, "
-            f"above the {PATTERN_VERTEX_BOUND}-vertex bound"
-        )
+    """Gaussian-branch variance: the variance of S = sum_a t_a, the summed
+    one-point conditional densities (mean v t(H,W)), over |Aut(H)|^2. Since
+    int t_a t_b is the density of H glued to itself at a ~ b, this is the
+    sum of those over ordered vertex pairs minus v^2 t^2, over |Aut(H)|^2;
+    centered, it is a sum of squares, exactly 0 when S is constant.
+    """
+    S = _one_point_sum(H, W)
+    S -= float(W.block_weights @ S)
     aut = automorphism_count(H)
-    t = hom_density(H, W)
-    total = 0.0
-    for a in range(1, v + 1):
-        for b in range(1, v + 1):
-            total += hom_density(vertex_join(H, a, H, b), W)
-    return _clamp_variance((total - v * v * t * t) / (aut * aut), "tau_squared")
+    return float(W.block_weights @ S**2) / (aut * aut)
 
 
 def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
-    """Mixture-branch Gaussian variance: 2/|Aut(H)|^2 times the sum over
-    ordered pairs of edges of (weak-join density minus strong-join density).
-
-    Each term integrates W(1-W) against a nonnegative factor, so every term
-    is individually nonnegative.
+    """Mixture-branch Gaussian variance 2/|Aut(H)|^2 * pi^T [W(1-W) S2^2] pi,
+    S2 the sum over sorted edges (a, b) of the two-point conditional density
+    of H - ab, a on rows. Expanding S2^2 gives the weak- minus strong-join
+    densities of H glued to itself along ordered edge pairs (a ~ c, b ~ d).
     """
-    v = H.vertex_count
-    if 2 * v - 2 > PATTERN_VERTEX_BOUND:
-        raise ValueError(
-            f"edge join of the pattern with itself has {2 * v - 2} vertices, "
-            f"above the {PATTERN_VERTEX_BOUND}-vertex bound"
-        )
     aut = automorphism_count(H)
     edges = H.sorted_edges()
     if not edges:
         raise ValueError("pattern has no edges")
-    total = 0.0
+    S2 = np.zeros((W.block_count, W.block_count))
     for e in edges:
-        for f in edges:
-            total += hom_density(weak_edge_join(H, e, H, f), W)
-            total -= hom_density(strong_edge_join(H, e, H, f), W)
+        S2 += conditional_density(LabeledGraph(H.vertex_count, H.edges - {e}), e, W).values
+    weighted = W.values * (1.0 - W.values) * S2**2
+    total = float(W.block_weights @ weighted @ W.block_weights)
     return _clamp_variance(2.0 * total / (aut * aut), "sigma_squared")
 
 

@@ -21,7 +21,6 @@ from graphonlab import (
     LabeledGraph,
     StepGraphon,
     as_step_graphon,
-    automorphism_count,
     conditional_density,
     copy_set,
     count_copies,
@@ -44,6 +43,7 @@ from graphonlab import (
     weak_edge_join,
 )
 from conftest import random_step_graphon
+from limit_oracles import tau_squared_by_joins
 
 K2 = LabeledGraph.complete(2)
 K3 = LabeledGraph.complete(3)
@@ -170,7 +170,6 @@ def test_identity_property_suite(criterion):
         kernels = [random_step_graphon(rng) for _ in range(20)]
         patterns = (K2, STAR2, K3)
         for W in kernels:
-            pi = W.block_weights
             for H in patterns:
                 v = H.vertex_count
                 copies = copy_set(H, range(1, v + 1)).as_graphs()
@@ -213,13 +212,10 @@ def test_identity_property_suite(criterion):
                     marks = tuple(range(1, size + 1))
                     assert abs(conditional_density(H, marks, W).average() - t) <= 1e-10
 
-                # alternate variance form: pi-weighted second moment of the
-                # summed one-point conditionals
-                total_cond = np.zeros(W.block_count)
-                for a in range(1, v + 1):
-                    total_cond += conditional_density(H, (a,), W).values
-                alt = (float(pi @ total_cond**2) - v * v * t * t) / automorphism_count(H) ** 2
-                assert abs(tau_squared(H, W) - alt) <= 1e-9
+                # alternate variance forms: tau_squared takes the variance of
+                # the summed one-point conditionals; the oracle sums the
+                # vertex-join densities
+                assert abs(tau_squared(H, W) - tau_squared_by_joins(H, W)) <= 1e-9
 
                 # dichotomy: zero variance exactly when the defect vanishes
                 assert (tau_squared(H, W) <= 1e-10) == (regularity_defect(H, W) <= 1e-10)

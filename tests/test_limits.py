@@ -1,10 +1,12 @@
 """Limits module: the two variance constants, branch selection, sampling."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from limit_oracles import sigma_squared_by_joins, tau_squared_by_joins
 
 from graphonlab import (
     DegenerateGraphonError,
@@ -33,16 +35,46 @@ STAR2 = LabeledGraph.star(2)
 TAU_STAR2_PRODUCT = float(Fraction(1, 80) + Fraction(4, 108) + Fraction(4, 96) - Fraction(9, 144)) / 4
 
 
-def alternate_tau(H, W):
-    """Variance of the summed one-point conditionals, straight from their
-    block values; independent of the vertex-join evaluation path."""
+# Patterns of 5 and 6 vertices with treewidth <= 2, which einsum contracts
+# quickly at large m.
+PATH4 = LabeledGraph.path(4)
+STAR4 = LabeledGraph.star(4)
+C5 = LabeledGraph.cycle(5)
+PATH5 = LabeledGraph.path(5)
+C6 = LabeledGraph.cycle(6)
+
+# Four-vertex patterns checked against the join sums on the product kernel.
+# K4's self-joins have treewidth 3 but greedy einsum paths cost k^7 on them
+# (about 5 s per vertex join at m=16), so K4 is checked at m=8.
+PRODUCT_ORACLE_CASES = pytest.mark.parametrize(
+    "H,m",
+    [
+        (LabeledGraph.complete(4), 8),
+        (LabeledGraph.cycle(4), 64),
+        (LabeledGraph.path(3), 64),
+        (LabeledGraph.star(3), 64),
+    ],
+    ids=["k4-m8", "c4-m64", "path3-m64", "star3-m64"],
+)
+
+
+def tau_product_closed_form(H):
+    """tau2 of H in W(x,y) = xy, as a Fraction: the one-point conditional at
+    a is t (d_a + 1) x^(d_a) with t = prod_u 1/(d_u + 1), so
+    int t_a t_b = t^2 (d_a + 1)(d_b + 1) / (d_a + d_b + 1)."""
+    d = H.degrees()
     v = H.vertex_count
-    total = np.zeros(W.block_count)
-    for a in range(1, v + 1):
-        total += conditional_density(H, (a,), W).values
-    mean_sq = float(W.block_weights @ (total**2))
-    t = hom_density(H, W)
-    return (mean_sq - v * v * t * t) / automorphism_count(H) ** 2
+    t = Fraction(1)
+    for du in d:
+        t /= du + 1
+    total = sum(t * t * (da + 1) * (db + 1) / Fraction(da + db + 1) for da in d for db in d)
+    return (total - v * v * t * t) / automorphism_count(H) ** 2
+
+
+def matches_oracle(value, oracle):
+    # the abs floor only covers kernels where the constant vanishes and
+    # either side rounds to a few ulps around zero
+    return value == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
 class TestTauSquared:
@@ -68,7 +100,12 @@ class TestTauSquared:
     def test_alternate_form_agreement(self, graphon_suite, small_patterns):
         for W in graphon_suite:
             for H in small_patterns.values():
-                assert tau_squared(H, W) == pytest.approx(alternate_tau(H, W), abs=1e-9)
+                assert matches_oracle(tau_squared(H, W), tau_squared_by_joins(H, W))
+
+    @PRODUCT_ORACLE_CASES
+    def test_join_oracle_on_product(self, H, m):
+        W = discretize(KernelSpec.product(), m)
+        assert matches_oracle(tau_squared(H, W), tau_squared_by_joins(H, W))
 
     def test_vertex_join_consistency(self, graphon_suite, small_patterns):
         # int t_a t_b dx equals the density of the pattern glued to itself at (a, b)
@@ -92,9 +129,14 @@ class TestTauSquared:
                 regular = regularity_defect(H, W) <= 1e-10
                 assert (tau_squared(H, W) <= 1e-10) == regular
 
-    def test_join_size_bound(self):
-        with pytest.raises(ValueError):
-            tau_squared(LabeledGraph.path(4), as_step_graphon(KernelSpec.constant(0.5)))
+    @pytest.mark.parametrize("H", [PATH4, STAR4, C5], ids=["path4", "star4", "c5"])
+    def test_five_vertex_patterns_on_product(self, H):
+        # no join is built, so patterns whose self-joins pass 8 vertices work
+        target = float(tau_product_closed_form(H))
+        gap_256 = abs(tau_squared(H, discretize(KernelSpec.product(), 256)) - target)
+        gap_512 = abs(tau_squared(H, discretize(KernelSpec.product(), 512)) - target)
+        assert gap_256 <= 1e-4 * target
+        assert gap_512 < gap_256
 
 
 class TestSigmaSquared:
@@ -117,6 +159,24 @@ class TestSigmaSquared:
         for W in graphon_suite:
             for H in small_patterns.values():
                 assert sigma_squared(H, W) >= 0.0
+
+    def test_join_oracle_on_random_kernels(self, graphon_suite, small_patterns):
+        for W in graphon_suite:
+            for H in small_patterns.values():
+                assert matches_oracle(sigma_squared(H, W), sigma_squared_by_joins(H, W))
+
+    @PRODUCT_ORACLE_CASES
+    def test_join_oracle_on_product(self, H, m):
+        W = discretize(KernelSpec.product(), m)
+        assert matches_oracle(sigma_squared(H, W), sigma_squared_by_joins(H, W))
+
+    @pytest.mark.parametrize("H", [PATH5, C6], ids=["path5", "c6"])
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_six_vertex_patterns_on_constant(self, H, p):
+        e = H.edge_count
+        target = 2 * e * e * p ** (2 * e - 1) * (1 - p) / automorphism_count(H) ** 2
+        W = as_step_graphon(KernelSpec.constant(p))
+        assert sigma_squared(H, W) == pytest.approx(target, rel=1e-12)
 
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
@@ -153,6 +213,26 @@ class TestLimitLaw:
             limit_law(K3, as_step_graphon(KernelSpec.constant(1.0)))
         with pytest.raises(DegenerateGraphonError):
             limit_law(K3, as_step_graphon(KernelSpec.two_block_diagonal(0.0)))
+
+    def test_builds_no_joins(self, monkeypatch):
+        calls = []
+
+        def spy(join):
+            def recorded(*args):
+                calls.append(join.__name__)
+                return join(*args)
+
+            return recorded
+
+        # every module of the package that holds a join function, by name
+        for module in [m for name, m in sys.modules.items() if name.startswith("graphonlab")]:
+            for name in ("vertex_join", "weak_edge_join", "strong_edge_join"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        gaussian = limit_law(STAR2, discretize(KernelSpec.product(), 64))
+        mixture = limit_law(K3, as_step_graphon(KernelSpec.two_block_diagonal(0.5)))
+        assert (gaussian.kind, mixture.kind) == ("gaussian", "mixture")
+        assert calls == []
 
     def test_json_round_trip(self):
         for law in (
