@@ -6,7 +6,6 @@ Carlo verification harness.
 """
 
 from .density import (
-    ConditionalDensity,
     DegenerateGraphonError,
     REGULARITY_TOL,
     conditional_density,
@@ -24,17 +23,10 @@ from .graphon import (
     discretize,
 )
 from .graphs import (
-    CopySet,
     LabeledGraph,
-    MultiGraph,
     automorphism_count,
-    copy_set,
     count_copies,
     count_injective_homomorphisms,
-    falling_factorial,
-    strong_edge_join,
-    vertex_join,
-    weak_edge_join,
 )
 from .limits import LimitLaw, limit_law, sample_limit, sigma_squared, tau_squared
 from .sampler import SampleRecord, normalized_statistic, sample_graph
@@ -49,8 +41,6 @@ from .spectral import Spectrum, dwh, spec_minus, spectrum
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionalDensity",
-    "CopySet",
     "DEFAULT_DISCRETIZATION",
     "DegenerateGraphonError",
     "ExperimentConfig",
@@ -58,7 +48,6 @@ __all__ = [
     "KernelSpec",
     "LabeledGraph",
     "LimitLaw",
-    "MultiGraph",
     "REGULARITY_TOL",
     "SampleRecord",
     "Spectrum",
@@ -66,12 +55,10 @@ __all__ = [
     "as_step_graphon",
     "automorphism_count",
     "conditional_density",
-    "copy_set",
     "count_copies",
     "count_injective_homomorphisms",
     "discretize",
     "dwh",
-    "falling_factorial",
     "hom_density",
     "is_regular",
     "ks_distance",
@@ -85,9 +72,6 @@ __all__ = [
     "sigma_squared",
     "spec_minus",
     "spectrum",
-    "strong_edge_join",
     "tau_squared",
     "two_point_graphon",
-    "vertex_join",
-    "weak_edge_join",
 ]

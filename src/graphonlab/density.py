@@ -9,24 +9,15 @@ for the small patterns in scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .graphs import (
-    PATTERN_VERTEX_BOUND,
-    Edge,
-    LabeledGraph,
-    MultiGraph,
-    automorphism_count,
-    falling_factorial,
-)
+from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph, automorphism_count
 from .graphon import StepGraphon
 
 # A step computation is declared regular when the defect is at most this.
 REGULARITY_TOL = 1e-10
-
-_LETTERS = "abcdefgh"
 
 
 class DegenerateGraphonError(ValueError):
@@ -38,39 +29,27 @@ class DegenerateGraphonError(ValueError):
         super().__init__(message)
 
 
-def _edge_items(F: LabeledGraph | MultiGraph) -> list[tuple[Edge, int]]:
-    if isinstance(F, MultiGraph):
-        return list(F.edges)
-    return [(e, 1) for e in F.sorted_edges()]
-
-
-def _contract(F, W: StepGraphon, marks: tuple[int, ...] = ()) -> np.ndarray:
+def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> np.ndarray:
+    """One einsum over the vertex weights of the unmarked vertices and the
+    kernel on every edge; pattern vertex u is einsum index u - 1, and the
+    result keeps one axis per mark, in mark order."""
     v = F.vertex_count
     if v > PATTERN_VERTEX_BOUND:
         raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
     marked = set(marks)
-    k = W.block_count
-    subscripts: list[str] = []
-    operands: list[np.ndarray] = []
+    operands: list = []
     for u in range(1, v + 1):
         if u not in marked:
-            subscripts.append(_LETTERS[u - 1])
-            operands.append(W.block_weights)
-    for (a, b), mult in _edge_items(F):
-        M = W.values if mult == 1 else W.values**mult
-        subscripts.append(_LETTERS[a - 1] + _LETTERS[b - 1])
-        operands.append(M)
+            operands += [W.block_weights, [u - 1]]
+    for a, b in F.sorted_edges():
+        operands += [W.values, [a - 1, b - 1]]
     for u in marks:  # keeps isolated marked vertices addressable
-        subscripts.append(_LETTERS[u - 1])
-        operands.append(np.ones(k))
-    out = "".join(_LETTERS[u - 1] for u in marks)
-    expr = ",".join(subscripts) + "->" + out
-    return np.einsum(expr, *operands, optimize=True)
+        operands += [np.ones(W.block_count), [u - 1]]
+    return np.einsum(*operands, [u - 1 for u in marks], optimize=True)
 
 
-def hom_density(F: LabeledGraph | MultiGraph, W: StepGraphon) -> float:
-    """Homomorphism density t(F, W); multigraph edges enter with their
-    multiplicity as a power of the kernel.
+def hom_density(F: LabeledGraph, W: StepGraphon) -> float:
+    """Homomorphism density t(F, W).
 
     For derived kernels with values outside [0,1] the result may leave
     [0,1] as well.
@@ -78,36 +57,17 @@ def hom_density(F: LabeledGraph | MultiGraph, W: StepGraphon) -> float:
     return float(_contract(F, W))
 
 
-@dataclass(frozen=True, eq=False)
-class ConditionalDensity:
-    """Density of `pattern` with the vertices in `marks` (ordered) pinned to
-    coordinates; piecewise constant, stored as one value per block tuple."""
-
-    pattern: LabeledGraph
-    marks: tuple[int, ...]
-    block_weights: np.ndarray
-    values: np.ndarray
-
-    def average(self) -> float:
-        """Integrate out the pinned coordinates; recovers hom_density."""
-        out = self.values
-        for axis in range(len(self.marks)):
-            out = np.tensordot(self.block_weights, out, axes=([0], [0]))
-        return float(out)
-
-
-def conditional_density(
-    H: LabeledGraph, marks, W: StepGraphon
-) -> ConditionalDensity:
-    """K-point conditional density of H in W given the ordered marked vertices."""
+def conditional_density(H: LabeledGraph, marks, W: StepGraphon) -> np.ndarray:
+    """K-point conditional density of H in W given the ordered marked
+    vertices: the density with mark i pinned to a coordinate in block x_i,
+    one value per block tuple (x_1, ..., x_K)."""
     mk = tuple(int(a) for a in marks)
     if len(mk) == 0 or len(set(mk)) != len(mk):
         raise ValueError("marks must be a non-empty list of distinct vertices")
     for a in mk:
         if not (1 <= a <= H.vertex_count):
             raise ValueError(f"marked vertex {a} not in the pattern")
-    values = _contract(H, W, marks=mk)
-    return ConditionalDensity(H, mk, W.block_weights, values)
+    return _contract(H, W, marks=mk)
 
 
 def _one_point_sum(H: LabeledGraph, W: StepGraphon) -> np.ndarray:
@@ -115,7 +75,7 @@ def _one_point_sum(H: LabeledGraph, W: StepGraphon) -> np.ndarray:
     densities t_a, one value per block, summed in vertex order."""
     total = np.zeros(W.block_count)
     for a in range(1, H.vertex_count + 1):
-        total += conditional_density(H, (a,), W).values
+        total += conditional_density(H, (a,), W)
     return total
 
 
@@ -125,7 +85,7 @@ def mean_count(H: LabeledGraph, W: StepGraphon, n: int) -> float:
     v = H.vertex_count
     if n < v:
         raise ValueError(f"need n >= {v}, got {n}")
-    return falling_factorial(n, v) / automorphism_count(H) * hom_density(H, W)
+    return math.perm(n, v) / automorphism_count(H) * hom_density(H, W)
 
 
 def _check_degenerate(H: LabeledGraph, W: StepGraphon) -> float:
@@ -172,6 +132,6 @@ def two_point_graphon(H: LabeledGraph, W: StepGraphon) -> StepGraphon:
     total = np.zeros((k, k))
     for a in range(1, v + 1):
         for b in range(a + 1, v + 1):
-            vals = conditional_density(H, (a, b), W).values
+            vals = conditional_density(H, (a, b), W)
             total += vals + vals.T  # the (b, a) term is the transpose
     return StepGraphon(W.block_weights, total / (2 * automorphism_count(H)))

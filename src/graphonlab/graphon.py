@@ -65,10 +65,6 @@ class StepGraphon:
         idx = np.searchsorted(inner, arr, side="right")
         return idx if arr.ndim else int(idx)
 
-    def evaluate(self, x: float, y: float) -> float:
-        """Pointwise value at (x, y)."""
-        return float(self.values[self.block_index(x), self.block_index(y)])
-
     def degree(self) -> np.ndarray:
         """Block-constant degree function: d_i = sum_j pi_j B_ij."""
         return self.values @ self.block_weights

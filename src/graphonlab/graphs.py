@@ -1,8 +1,7 @@
-"""Finite labeled graphs and multigraphs: joins, automorphisms, copy counting.
+"""Finite labeled graphs: automorphisms and copy counting.
 
-Vertices are labeled 1..n throughout. Edges of simple graphs are unordered
-pairs stored as (a, b) with a < b; multigraph edges carry a multiplicity.
-All types are immutable and safe to share across workers.
+Vertices are labeled 1..n throughout. Edges are unordered pairs stored as
+(a, b) with a < b. Graphs are immutable and safe to share across workers.
 
 Copies are counted in the homomorphism basis on a 0/1 adjacency matrix:
 injective homomorphisms are a Moebius sum of homomorphism counts of the
@@ -114,86 +113,6 @@ class LabeledGraph:
         return cls.from_edges(int(data["n"]), ((int(a), int(b)) for a, b in data["edges"]))
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    """Loop-free multigraph: unordered edges with multiplicity >= 1."""
-
-    vertex_count: int
-    edges: tuple[tuple[Edge, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError("vertex_count must be a positive integer")
-        seen: set[Edge] = set()
-        for (a, b), mult in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            if not (1 <= a < b <= self.vertex_count):
-                raise ValueError(f"edge ({a},{b}) out of range or not sorted")
-            if mult < 1:
-                raise ValueError(f"multiplicity of ({a},{b}) must be >= 1")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge entry ({a},{b})")
-            seen.add((a, b))
-
-    @classmethod
-    def from_multiplicities(cls, vertex_count: int, mult: Mapping[tuple[int, int], int]) -> "MultiGraph":
-        items = {(_sorted_edge(a, b)): m for (a, b), m in mult.items()}
-        return cls(vertex_count, tuple(sorted(items.items())))
-
-    @property
-    def edge_count(self) -> int:
-        """Number of distinct edges (multiplicities ignored)."""
-        return len(self.edges)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.edges)
-
-    def multiplicity(self, a: int, b: int) -> int:
-        e = _sorted_edge(a, b)
-        for edge, m in self.edges:
-            if edge == e:
-                return m
-        return 0
-
-    def as_simple(self) -> LabeledGraph:
-        """Clamp every multiplicity to 1."""
-        return LabeledGraph(self.vertex_count, frozenset(e for e, _ in self.edges))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.vertex_count,
-            "edges": [list(e) for e, _ in self.edges],
-            "mult": [m for _, m in self.edges],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "MultiGraph":
-        pairs = {(int(a), int(b)): int(m) for (a, b), m in zip(data["edges"], data["mult"])}
-        return cls.from_multiplicities(int(data["n"]), pairs)
-
-
-@dataclass(frozen=True)
-class CopySet:
-    """All subgraphs of the complete graph on `vertices` isomorphic to `pattern`."""
-
-    pattern: LabeledGraph
-    vertices: tuple[int, ...]
-    copies: tuple[frozenset[Edge], ...]
-
-    def __len__(self) -> int:
-        return len(self.copies)
-
-    def __iter__(self) -> Iterator[frozenset[Edge]]:
-        return iter(self.copies)
-
-    def as_graphs(self) -> list[LabeledGraph]:
-        """Each copy as a labeled graph on {1..max(vertices)}."""
-        n = max(self.vertices)
-        return [LabeledGraph(n, edges) for edges in self.copies]
-
-
 def automorphism_count(H: LabeledGraph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND) -> int:
     """Number of vertex permutations of H mapping its edge set onto itself.
 
@@ -209,95 +128,6 @@ def automorphism_count(H: LabeledGraph, max_vertices: int = AUTOMORPHISM_VERTEX_
         if all(_sorted_edge(perm[a - 1], perm[b - 1]) in edges for a, b in edges):
             count += 1
     return count
-
-
-def copy_set(H: LabeledGraph, vertices: Iterable[int]) -> CopySet:
-    """Distinct edge sets on `vertices` isomorphic to H.
-
-    The result has exactly |V(H)|!/|Aut(H)| members.
-    """
-    verts = tuple(vertices)
-    if len(set(verts)) != len(verts):
-        raise ValueError("vertex set contains duplicates")
-    if len(verts) != H.vertex_count:
-        raise ValueError(f"need exactly {H.vertex_count} vertices, got {len(verts)}")
-    copies: set[frozenset[Edge]] = set()
-    for perm in itertools.permutations(verts):
-        copies.add(frozenset(_sorted_edge(perm[a - 1], perm[b - 1]) for a, b in H.edges))
-    ordered = tuple(sorted(copies, key=sorted))
-    return CopySet(H, verts, ordered)
-
-
-def _check_vertex(H: LabeledGraph, v: int, name: str) -> None:
-    if not (1 <= v <= H.vertex_count):
-        raise ValueError(f"vertex {v} not in {name}")
-
-
-def _relabel_second(
-    H1: LabeledGraph, H2: LabeledGraph, identified: dict[int, int]
-) -> dict[int, int]:
-    """Map H2's vertices into the joined graph: identified ones to their H1
-    partner, the rest to fresh labels |V(H1)|+1, ... in increasing order."""
-    mapping = dict(identified)
-    nxt = H1.vertex_count + 1
-    for u in range(1, H2.vertex_count + 1):
-        if u not in mapping:
-            mapping[u] = nxt
-            nxt += 1
-    return mapping
-
-
-def vertex_join(H1: LabeledGraph, a: int, H2: LabeledGraph, b: int) -> LabeledGraph:
-    """Glue H1 and H2 by identifying vertex a of H1 with vertex b of H2.
-
-    The result keeps H1's labels and appends H2's remaining vertices.
-    """
-    _check_vertex(H1, a, "H1")
-    _check_vertex(H2, b, "H2")
-    mapping = _relabel_second(H1, H2, {b: a})
-    edges = set(H1.edges)
-    edges.update(_sorted_edge(mapping[x], mapping[y]) for x, y in H2.edges)
-    return LabeledGraph(H1.vertex_count + H2.vertex_count - 1, frozenset(edges))
-
-
-def _check_join_edges(H1: LabeledGraph, e1: tuple[int, int], H2: LabeledGraph, e2: tuple[int, int]):
-    a, b = e1
-    c, d = e2
-    if not H1.has_edge(a, b):
-        raise ValueError(f"({a},{b}) is not an edge of H1")
-    if not H2.has_edge(c, d):
-        raise ValueError(f"({c},{d}) is not an edge of H2")
-    return a, b, c, d
-
-
-def weak_edge_join(
-    H1: LabeledGraph, e1: tuple[int, int], H2: LabeledGraph, e2: tuple[int, int]
-) -> LabeledGraph:
-    """Glue H1 and H2 along the edges e1=(a,b), e2=(c,d), keeping one copy
-    of the shared edge.
-
-    Identification is positional: a with c and b with d, in the order the
-    pairs are passed.
-    """
-    a, b, c, d = _check_join_edges(H1, e1, H2, e2)
-    mapping = _relabel_second(H1, H2, {c: a, d: b})
-    edges = set(H1.edges)
-    edges.update(_sorted_edge(mapping[x], mapping[y]) for x, y in H2.edges)
-    return LabeledGraph(H1.vertex_count + H2.vertex_count - 2, frozenset(edges))
-
-
-def strong_edge_join(
-    H1: LabeledGraph, e1: tuple[int, int], H2: LabeledGraph, e2: tuple[int, int]
-) -> MultiGraph:
-    """Glue H1 and H2 along the edges e1=(a,b), e2=(c,d), keeping both copies
-    of the shared edge (it gets multiplicity 2)."""
-    a, b, c, d = _check_join_edges(H1, e1, H2, e2)
-    mapping = _relabel_second(H1, H2, {c: a, d: b})
-    mult: dict[Edge, int] = {e: 1 for e in H1.edges}
-    for x, y in H2.edges:
-        e = _sorted_edge(mapping[x], mapping[y])
-        mult[e] = mult.get(e, 0) + 1
-    return MultiGraph(H1.vertex_count + H2.vertex_count - 2, tuple(sorted(mult.items())))
 
 
 def _set_partitions(v: int) -> Iterator[tuple[int, ...]]:
@@ -488,9 +318,3 @@ def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
         raise RuntimeError("injective homomorphism count not divisible by |Aut|")
     return inj // aut
 
-
-def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return math.prod(range(n - k + 1, n + 1))

@@ -143,7 +143,7 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
         raise ValueError("pattern has no edges")
     S2 = np.zeros((W.block_count, W.block_count))
     for e in edges:
-        S2 += conditional_density(LabeledGraph(H.vertex_count, H.edges - {e}), e, W).values
+        S2 += conditional_density(LabeledGraph(H.vertex_count, H.edges - {e}), e, W)
     weighted = W.values * (1.0 - W.values) * S2**2
     total = float(W.block_weights @ weighted @ W.block_weights)
     return _clamp_variance(2.0 * total / (aut * aut), "sigma_squared")

@@ -24,7 +24,7 @@ from .density import REGULARITY_TOL, mean_count
 from .graphon import DEFAULT_DISCRETIZATION, KernelSpec, StepGraphon, as_step_graphon
 from .graphs import LabeledGraph
 from .limits import LimitLaw, limit_law, sample_limit
-from .sampler import SampleRecord, count_copies, sample_adjacency
+from .sampler import SampleRecord, _record, count_copies, sample_adjacency
 
 SCHEMA_VERSION = 1
 THREADS_ENV_VAR = "GRAPHONLAB_THREADS"
@@ -272,13 +272,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     n = config.n
     mu = mean_count(H, W, n)
-    denom = float(n) ** law.scale_exponent
     seeds = [replicate_seed(config.master_seed, i) for i in range(config.replicates)]
     counts = _replicate_counts(H, W, n, seeds)
-    records = tuple(
-        SampleRecord(n=n, seed=s, raw_count=c, normalized=(c - mu) / denom)
-        for s, c in zip(seeds, counts)
-    )
+    records = tuple(_record(H, n, s, c, mu, law) for s, c in zip(seeds, counts))
 
     normalized = np.array([r.normalized for r in records])
     raw = np.array([r.raw_count for r in records], dtype=float)

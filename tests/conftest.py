@@ -7,6 +7,29 @@ import pytest
 
 from graphonlab import LabeledGraph, StepGraphon
 
+_K4 = LabeledGraph.complete(4)
+
+# Patterns that reach every branch of the counting engine: trees (degree-1
+# elimination), cycles (degree 2), K4, K5 and the wheel (pinning), and
+# patterns whose quotients are disconnected or carry isolated vertices.
+ZOO = {
+    "star3": LabeledGraph.star(3),
+    "path3": LabeledGraph.path(3),
+    "c4": LabeledGraph.cycle(4),
+    "k4": _K4,
+    "c5": LabeledGraph.cycle(5),
+    "k5": LabeledGraph.complete(5),
+    "diamond": LabeledGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]),
+    "wheel4": LabeledGraph.from_edges(
+        5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5), (2, 5)]
+    ),
+    # pinning after elimination: weighted pin, and unequal pairwise factors
+    "k4_pendant": LabeledGraph.from_edges(5, [*_K4.edges, (1, 5)]),
+    "k4_subdivided": LabeledGraph.from_edges(5, [*(_K4.edges - {(1, 2)}), (1, 5), (2, 5)]),
+    "two_edges": LabeledGraph.from_edges(4, [(1, 2), (3, 4)]),
+    "isolated_vertex": LabeledGraph.from_edges(4, [(1, 2), (2, 3)]),
+}
+
 
 def random_step_graphon(rng: np.random.Generator, max_blocks: int = 4) -> StepGraphon:
     """Random graphon with 1..max_blocks blocks, weights bounded away from 0

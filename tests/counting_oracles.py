@@ -1,13 +1,38 @@
 """Reference implementations that the package's counting and sampling are
-checked against: a bitmask backtracker for injective homomorphisms and the
-edge-list W-random graph sampler. Both work on a different representation
-and by a different method than the package, so agreement is evidence."""
+checked against: exhaustive enumeration of copies, a bitmask backtracker
+for injective homomorphisms and the edge-list W-random graph sampler. All
+work on a different representation and by a different method than the
+package, so agreement is evidence."""
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from graphonlab import LabeledGraph, StepGraphon
+
+Edge = tuple[int, int]
+
+
+def copy_edge_sets(H: LabeledGraph, vertices) -> list[frozenset[Edge]]:
+    """The distinct edge sets on `vertices` (|V(H)| distinct labels) that are
+    copies of H, in sorted order; there are |V(H)|!/|Aut(H)| of them."""
+    copies = {
+        frozenset(tuple(sorted((perm[a - 1], perm[b - 1]))) for a, b in H.edges)
+        for perm in itertools.permutations(vertices)
+    }
+    return sorted(copies, key=sorted)
+
+
+def exhaustive_copy_count(H: LabeledGraph, G: LabeledGraph) -> int:
+    """Enumerate every |V(H)|-subset of V(G) and every copy of H on it, and
+    check edge containment."""
+    return sum(
+        copy <= G.edges
+        for subset in itertools.combinations(range(1, G.vertex_count + 1), H.vertex_count)
+        for copy in copy_edge_sets(H, subset)
+    )
 
 
 def _pattern_order(H: LabeledGraph) -> list[int]:

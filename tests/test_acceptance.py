@@ -22,11 +22,9 @@ from graphonlab import (
     StepGraphon,
     as_step_graphon,
     conditional_density,
-    copy_set,
     count_copies,
     discretize,
     dwh,
-    falling_factorial,
     hom_density,
     limit_law,
     mean_count,
@@ -36,14 +34,19 @@ from graphonlab import (
     sigma_squared,
     spec_minus,
     spectrum,
-    strong_edge_join,
     tau_squared,
     two_point_graphon,
+)
+from conftest import random_step_graphon
+from counting_oracles import copy_edge_sets, exhaustive_copy_count
+from limit_oracles import (
+    average,
+    einsum_density,
+    strong_edge_join,
+    tau_squared_by_joins,
     vertex_join,
     weak_edge_join,
 )
-from conftest import random_step_graphon
-from limit_oracles import tau_squared_by_joins
 
 K2 = LabeledGraph.complete(2)
 K3 = LabeledGraph.complete(3)
@@ -172,17 +175,17 @@ def test_identity_property_suite(criterion):
         for W in kernels:
             for H in patterns:
                 v = H.vertex_count
-                copies = copy_set(H, range(1, v + 1)).as_graphs()
+                copies = [LabeledGraph(v, c) for c in copy_edge_sets(H, range(1, v + 1))]
                 g2 = len(copies) ** 2
 
                 # vertex-join identity
                 lhs = g2 * sum(
-                    hom_density(vertex_join(H, a, H, b), W)
+                    einsum_density(vertex_join(H, a, H, b), W)
                     for a in range(1, v + 1)
                     for b in range(1, v + 1)
                 )
                 rhs = v * v * sum(
-                    hom_density(vertex_join(H1, 1, H2, 1), W) for H1 in copies for H2 in copies
+                    einsum_density(vertex_join(H1, 1, H2, 1), W) for H1 in copies for H2 in copies
                 )
                 assert abs(lhs - rhs) <= 1e-10
 
@@ -202,15 +205,15 @@ def test_identity_property_suite(criterion):
                                 for H2 in copies:
                                     if not H2.has_edge(*f):
                                         continue
-                                    total += hom_density(join(H1, e, H2, f), W)
-                    single = sum(hom_density(join(H, e, H, f), W) for e in de for f in de)
+                                    total += einsum_density(join(H1, e, H2, f), W)
+                    single = sum(einsum_density(join(H, e, H, f), W) for e in de for f in de)
                     assert abs(total - g2 * single / 4) <= 1e-10, tag
 
                 # marginalization of conditional densities
                 t = hom_density(H, W)
                 for size in range(1, v + 1):
                     marks = tuple(range(1, size + 1))
-                    assert abs(conditional_density(H, marks, W).average() - t) <= 1e-10
+                    assert abs(average(conditional_density(H, marks, W), W) - t) <= 1e-10
 
                 # alternate variance forms: tau_squared takes the variance of
                 # the summed one-point conditionals; the oracle sums the
@@ -223,15 +226,6 @@ def test_identity_property_suite(criterion):
 
 # ---------------------------------------------------------------------------
 # counting oracle
-
-
-def exhaustive_copy_count(H, G):
-    total = 0
-    for subset in itertools.combinations(range(1, G.vertex_count + 1), H.vertex_count):
-        for copy in copy_set(H, subset):
-            if copy <= G.edges:
-                total += 1
-    return total
 
 
 def test_counting_oracle(criterion):
@@ -320,6 +314,6 @@ def test_degenerate_handling(criterion):
         n = 10
         for seed in (0, 7):
             G = sample_graph(ones, n, seed)
-            assert count_copies(K3, G) == falling_factorial(n, 3) // 6
+            assert count_copies(K3, G) == math.perm(n, 3) // 6
             assert count_copies(K3, G) == math.comb(n, 3)
         assert mean_count(K3, ones, n) == math.comb(n, 3)

@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from graphonlab import KernelSpec, StepGraphon, as_step_graphon, discretize
 
 
+def evaluate(W: StepGraphon, x: float, y: float) -> float:
+    """Pointwise value of W at (x, y)."""
+    return W.values[W.block_index(x), W.block_index(y)]
+
+
 class TestStepGraphon:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -41,30 +46,30 @@ class TestEvaluate:
     def test_constant_everywhere(self):
         W = as_step_graphon(KernelSpec.constant(0.7))
         for x, y in [(0.0, 0.0), (0.3, 0.9), (1.0, 1.0)]:
-            assert W.evaluate(x, y) == 0.7
+            assert evaluate(W, x, y) == 0.7
 
     def test_two_block_off_diagonal_is_zero(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.6))
-        assert W.evaluate(0.25, 0.75) == 0.0
+        assert evaluate(W, 0.25, 0.75) == 0.0
 
     def test_two_block_diagonal_value(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.6))
-        assert W.evaluate(0.25, 0.25) == 0.6
-        assert W.evaluate(0.75, 0.75) == 0.6
+        assert evaluate(W, 0.25, 0.25) == 0.6
+        assert evaluate(W, 0.75, 0.75) == 0.6
 
     def test_right_closed_at_one(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.6))
-        assert W.evaluate(1.0, 1.0) == 0.6
+        assert evaluate(W, 1.0, 1.0) == 0.6
         # internal boundary belongs to the right block
-        assert W.evaluate(0.5, 0.5) == 0.6
-        assert W.evaluate(0.5, 0.25) == 0.0
+        assert evaluate(W, 0.5, 0.5) == 0.6
+        assert evaluate(W, 0.5, 0.25) == 0.0
 
     def test_out_of_range(self):
         W = as_step_graphon(KernelSpec.constant(0.5))
         with pytest.raises(ValueError):
-            W.evaluate(-0.1, 0.5)
+            evaluate(W, -0.1, 0.5)
         with pytest.raises(ValueError):
-            W.evaluate(0.5, 1.1)
+            evaluate(W, 0.5, 1.1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -73,7 +78,7 @@ class TestEvaluate:
     )
     def test_symmetry(self, x, y):
         W = discretize(KernelSpec.product(), 7)
-        assert W.evaluate(x, y) == W.evaluate(y, x)
+        assert evaluate(W, x, y) == evaluate(W, y, x)
 
 
 class TestDegree:

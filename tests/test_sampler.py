@@ -13,7 +13,6 @@ from graphonlab import (
     StepGraphon,
     as_step_graphon,
     count_copies,
-    falling_factorial,
     hom_density,
     mean_count,
     normalized_statistic,
@@ -99,7 +98,7 @@ class TestNormalizedStatistic:
         for seed in (3, 4):
             G = sample_graph(W, 10, seed)
             rec = normalized_statistic(K3, W, G, law, seed=seed)
-            assert rec.raw_count == falling_factorial(10, 3) // 6
+            assert rec.raw_count == math.perm(10, 3) // 6
             assert rec.normalized == 0.0
 
     def test_single_edge_two_point_support(self):
@@ -131,7 +130,7 @@ class TestNormalizedStatistic:
         law = LimitLaw.gaussian(0.0, 3)
         G = sample_graph(W, 12, 5)
         rec = normalized_statistic(K3, W, G, law)
-        assert 0 <= rec.raw_count <= falling_factorial(12, 3) // 6
+        assert 0 <= rec.raw_count <= math.perm(12, 3) // 6
         assert rec.raw_count == count_copies(K3, G)
 
     def test_rejects_host_smaller_than_pattern(self):

@@ -1,6 +1,7 @@
 """Simulate module: KS distance, experiment harness, and the CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from graphonlab import (
     run_experiment,
     sample_limit,
 )
+from graphonlab import simulate
 from graphonlab.cli import main
 from graphonlab.simulate import _sample_variance, replicate_seed
 
@@ -147,6 +149,16 @@ class TestRunExperiment:
     def test_degenerate_kernel_raises(self):
         with pytest.raises(DegenerateGraphonError):
             run_experiment(small_config(kernel=KernelSpec.constant(1.0), pattern=K3))
+
+    def test_count_above_complete_graph_bound_raises(self, monkeypatch):
+        # K_40 holds (40)_3 / |Aut star2| = 40 * C(39, 2) two-stars
+        bound = math.perm(40, 3) // 2
+        monkeypatch.delenv("GRAPHONLAB_THREADS", raising=False)
+        monkeypatch.setattr(simulate, "count_copies", lambda H, A: bound)
+        assert {r.raw_count for r in run_experiment(small_config(replicates=4)).records} == {bound}
+        monkeypatch.setattr(simulate, "count_copies", lambda H, A: bound + 1)
+        with pytest.raises(RuntimeError, match="complete-graph bound"):
+            run_experiment(small_config(replicates=4))
 
     def test_variance_gap_shrinks_with_n(self):
         # Gaussian branch for the edge pattern; counting is cheap, so the
