@@ -19,6 +19,8 @@ import numpy as np
 from .density import (
     DegenerateGraphonError,
     REGULARITY_TOL,
+    _defect,
+    _density_and_one_point_sum,
     hom_density,
     mean_count,
     regularity_defect,
@@ -33,10 +35,10 @@ from .graphon import (
     discretize,
 )
 from .graphs import LabeledGraph, automorphism_count, count_copies
-from .limits import limit_law, sigma_squared, tau_squared
+from .limits import _tau_squared_of, sigma_squared, tau_squared
 from .sampler import sample_graph
 from .simulate import ExperimentConfig, run_experiment
-from .spectral import dwh, spec_minus, spectrum
+from .spectral import _degree_value, dwh, spec_minus, spectrum
 
 _BUILTIN_PATTERN = re.compile(r"^(k|star|path|cycle)(\d+)$")
 
@@ -105,29 +107,37 @@ def _cmd_regularity(args) -> int:
     return 0
 
 
-def _print_constants(H: LabeledGraph, W: StepGraphon, tol: float, prefix: str = "") -> None:
-    regular = regularity_defect(H, W) <= tol
-    t = hom_density(H, W)
-    d_wh = dwh(H, W)
-    print(f"{prefix}t = {t!r}")
-    print(f"{prefix}tau2 = {tau_squared(H, W)!r}")
-    print(f"{prefix}sigma2 = {sigma_squared(H, W)!r}")
-    print(f"{prefix}d_wh = {d_wh!r}")
-    print(f"{prefix}regular = {str(regular).lower()}")
+def _constants_lines(H: LabeledGraph, W: StepGraphon, tol: float, prefix: str = "") -> list[str]:
+    """The constants block of one (H, W), every value computed before any is
+    printed; t(H, W) and the one-point sum S are computed once."""
+    t, S = _density_and_one_point_sum(H, W)
+    regular = _defect(H, t, S) <= tol
+    d_wh = _degree_value(H, t)
+    tau2 = _tau_squared_of(H, W, S)
+    sigma2 = sigma_squared(H, W)
     if regular:
         lambdas = spec_minus(spectrum(two_point_graphon(H, W)), d_wh)
-        print(f"{prefix}spec_minus = {lambdas.tolist()!r}")
+        reduced = repr(lambdas.tolist())
     else:
-        print(f"{prefix}spec_minus = n/a (kernel is not pattern-regular; d_wh advisory only)")
+        reduced = "n/a (kernel is not pattern-regular; d_wh advisory only)"
+    return [
+        f"{prefix}t = {t!r}",
+        f"{prefix}tau2 = {tau2!r}",
+        f"{prefix}sigma2 = {sigma2!r}",
+        f"{prefix}d_wh = {d_wh!r}",
+        f"{prefix}regular = {str(regular).lower()}",
+        f"{prefix}spec_minus = {reduced}",
+    ]
 
 
 def _cmd_constants(args) -> int:
     H = _load_pattern(args.pattern)
     spec = _load_kernel(args.kernel)
-    _print_constants(H, as_step_graphon(spec, args.m), args.tol)
+    lines = _constants_lines(H, as_step_graphon(spec, args.m), args.tol)
     if _needs_refinement(spec):
-        print(f"refined_m = {2 * args.m}")
-        _print_constants(H, discretize(spec, 2 * args.m), args.tol, prefix="refined_")
+        lines.append(f"refined_m = {2 * args.m}")
+        lines += _constants_lines(H, discretize(spec, 2 * args.m), args.tol, prefix="refined_")
+    print("\n".join(lines))
     return 0
 
 

@@ -88,7 +88,9 @@ def mean_count(H: LabeledGraph, W: StepGraphon, n: int) -> float:
     return math.perm(n, v) / automorphism_count(H) * hom_density(H, W)
 
 
-def _check_degenerate(H: LabeledGraph, W: StepGraphon) -> float:
+def _density_and_one_point_sum(H: LabeledGraph, W: StepGraphon) -> tuple[float, np.ndarray]:
+    """t(H, W) and S = sum_a t_a, after the degenerate-kernel checks; the
+    regularity defect, tau2 and d_wh of one (H, W) all derive from these."""
     if not W.is_probability_kernel:
         raise ValueError("regularity is defined for kernels with values in [0,1]")
     if np.all(W.values == 1.0):
@@ -98,7 +100,11 @@ def _check_degenerate(H: LabeledGraph, W: StepGraphon) -> float:
         raise DegenerateGraphonError(
             "pattern_free", "pattern has zero density in the kernel; count is a.s. 0"
         )
-    return t
+    return t, _one_point_sum(H, W)
+
+
+def _defect(H: LabeledGraph, t: float, S: np.ndarray) -> float:
+    return float(np.max(np.abs(S / H.vertex_count - t)))
 
 
 def regularity_defect(H: LabeledGraph, W: StepGraphon) -> float:
@@ -109,8 +115,7 @@ def regularity_defect(H: LabeledGraph, W: StepGraphon) -> float:
     chi-square-mixture branch. Raises DegenerateGraphonError for the
     all-ones kernel and for H-free kernels.
     """
-    t = _check_degenerate(H, W)
-    return float(np.max(np.abs(_one_point_sum(H, W) / H.vertex_count - t)))
+    return _defect(H, *_density_and_one_point_sum(H, W))
 
 
 def is_regular(H: LabeledGraph, W: StepGraphon, tol: float = REGULARITY_TOL) -> bool:

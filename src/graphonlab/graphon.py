@@ -59,8 +59,8 @@ class StepGraphon:
     def block_index(self, x) -> np.ndarray | int:
         """Block containing each coordinate; the last block is closed at 1."""
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("coordinates must lie in [0,1]")
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
+            raise ValueError("coordinates must be finite and lie in [0,1]")
         inner = np.cumsum(self.block_weights)[:-1]
         idx = np.searchsorted(inner, arr, side="right")
         return idx if arr.ndim else int(idx)

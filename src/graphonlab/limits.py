@@ -27,14 +27,21 @@ import numpy as np
 
 from .density import (
     REGULARITY_TOL,
+    _defect,
+    _density_and_one_point_sum,
     _one_point_sum,
     conditional_density,
-    regularity_defect,
     two_point_graphon,
 )
 from .graphon import StepGraphon
 from .graphs import LabeledGraph, automorphism_count
-from .spectral import DEGREE_MATCH_TOL, EIGENVALUE_TRUNCATION_TOL, dwh, spec_minus, spectrum
+from .spectral import (
+    DEGREE_MATCH_TOL,
+    EIGENVALUE_TRUNCATION_TOL,
+    _degree_value,
+    spec_minus,
+    spectrum,
+)
 
 GAUSSIAN = "gaussian"
 MIXTURE = "mixture"
@@ -125,10 +132,14 @@ def tau_squared(H: LabeledGraph, W: StepGraphon) -> float:
     sum of those over ordered vertex pairs minus v^2 t^2, over |Aut(H)|^2;
     centered, it is a sum of squares, exactly 0 when S is constant.
     """
-    S = _one_point_sum(H, W)
-    S -= float(W.block_weights @ S)
+    return _tau_squared_of(H, W, _one_point_sum(H, W))
+
+
+def _tau_squared_of(H: LabeledGraph, W: StepGraphon, S: np.ndarray) -> float:
+    """tau2 from a known one-point sum S, which is left unchanged."""
+    centered = S - float(W.block_weights @ S)
     aut = automorphism_count(H)
-    return float(W.block_weights @ S**2) / (aut * aut)
+    return float(W.block_weights @ centered**2) / (aut * aut)
 
 
 def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
@@ -158,15 +169,16 @@ def limit_law(
 ) -> LimitLaw:
     """Decide the branch from the regularity defect and assemble the law.
 
-    Raises DegenerateGraphonError (through the defect computation) for the
+    t(H, W) and the one-point sum S are computed once: the defect, tau2
+    and d_wh all derive from them. Raises DegenerateGraphonError for the
     all-ones kernel and for H-free kernels.
     """
-    defect = regularity_defect(H, W)
+    t, S = _density_and_one_point_sum(H, W)
     v = H.vertex_count
-    if defect > regularity_tol:
-        return LimitLaw.gaussian(tau_squared(H, W), v)
+    if _defect(H, t, S) > regularity_tol:
+        return LimitLaw.gaussian(_tau_squared_of(H, W, S), v)
     spec = spectrum(two_point_graphon(H, W), truncation_tol=eigenvalue_tol)
-    lambdas = spec_minus(spec, dwh(H, W), tol=degree_match_tol)
+    lambdas = spec_minus(spec, _degree_value(H, t), tol=degree_match_tol)
     return LimitLaw.mixture(sigma_squared(H, W), lambdas.tolist(), v)
 
 

@@ -106,6 +106,13 @@ class ExperimentConfig:
             raise ValueError("master_seed must be nonnegative")
         if self.discretization < 1:
             raise ValueError("discretization must be >= 1")
+        # NaN fails every comparison, so each check also rejects it
+        if not (0.0 <= self.regularity_tol < math.inf):
+            raise ValueError("regularity_tol must be finite and >= 0")
+        if not (0.0 < self.ks_threshold <= 1.0):
+            raise ValueError("ks_threshold must be finite and in (0, 1]")
+        if not (0.0 < self.variance_band < math.inf):
+            raise ValueError("variance_band must be finite and > 0")
 
     def to_json_dict(self) -> dict:
         return {

@@ -84,8 +84,13 @@ def dwh(H: LabeledGraph, W: StepGraphon) -> float:
     Equals the constant degree of that kernel when W is H-regular; for
     non-regular W the number is still computed but is advisory only.
     """
+    return _degree_value(H, hom_density(H, W))
+
+
+def _degree_value(H: LabeledGraph, t: float) -> float:
+    """dwh for a known density t = t(H, W)."""
     v = H.vertex_count
-    return v * (v - 1) / (2 * automorphism_count(H)) * hom_density(H, W)
+    return v * (v - 1) / (2 * automorphism_count(H)) * t
 
 
 def spec_minus(spec: Spectrum, degree_value: float, tol: float = DEGREE_MATCH_TOL) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Graphon module: step kernels, evaluation, degrees, discretization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,14 @@ class TestEvaluate:
             evaluate(W, -0.1, 0.5)
         with pytest.raises(ValueError):
             evaluate(W, 0.5, 1.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate(self, bad):
+        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
+        with pytest.raises(ValueError):
+            W.block_index(bad)
+        with pytest.raises(ValueError):
+            W.block_index(np.array([0.25, bad, 0.75]))
 
     @settings(max_examples=200, deadline=None)
     @given(

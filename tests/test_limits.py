@@ -12,6 +12,7 @@ from limit_oracles import (
     vertex_join,
 )
 
+from graphonlab import cli, density, limits
 from graphonlab import (
     DegenerateGraphonError,
     KernelSpec,
@@ -31,6 +32,9 @@ from graphonlab import (
 K2 = LabeledGraph.complete(2)
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
+
+# degree-irregular two-block kernel: Gaussian branch for every pattern
+SKEWED = KernelSpec.custom((0.5, 0.5), [[0.4, 0.5], [0.5, 0.7]])
 
 # Density of the 2-star in xy, and of its self-joins, via per-vertex moments
 # 1/(deg+1): star-4, four center-leaf joins, four leaf-leaf paths.
@@ -228,6 +232,112 @@ class TestLimitLaw:
             LimitLaw.gaussian(-1.0, 3)
         with pytest.raises(ValueError):
             LimitLaw("nope", 2.0)
+
+
+# Patterns whose contraction counts pin the sharing of t(H, W) and S.
+SHARING_PATTERNS = {
+    "k3": LabeledGraph.complete(3),
+    "path3": LabeledGraph.path(3),
+    "cycle4": LabeledGraph.cycle(4),
+}
+SHARING_CASES = pytest.mark.parametrize("name", list(SHARING_PATTERNS))
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """The marks of every density._contract call, in call order."""
+    calls = []
+    original = density._contract
+
+    def spy(F, W, marks=()):
+        calls.append(marks)
+        return original(F, W, marks)
+
+    monkeypatch.setattr(density, "_contract", spy)
+    return calls
+
+
+def watch_shared_sums(monkeypatch, module):
+    """Record each S that `module` takes from the shared helper, with a copy
+    made when it was handed out."""
+    handed_out = []
+    original = density._density_and_one_point_sum
+
+    def recording(H, W):
+        t, S = original(H, W)
+        handed_out.append((S, S.copy()))
+        return t, S
+
+    monkeypatch.setattr(module, "_density_and_one_point_sum", recording)
+    return handed_out
+
+
+class TestSharedProjection:
+    """limit_law and the constants table compute t(H, W) and the one-point
+    sum S once per (H, W) and derive the defect, tau2 and d_wh from them."""
+
+    @SHARING_CASES
+    def test_gaussian_branch_contractions(self, name, contractions):
+        H = SHARING_PATTERNS[name]
+        law = limit_law(H, discretize(KernelSpec.product(), 16))
+        assert law.kind == "gaussian"
+        v = H.vertex_count
+        assert len(contractions) == 1 + v
+        assert contractions.count(()) == 1
+
+    @SHARING_CASES
+    def test_mixture_branch_contractions(self, name, contractions):
+        H = SHARING_PATTERNS[name]
+        law = limit_law(H, as_step_graphon(KernelSpec.two_block_diagonal(0.5)))
+        assert law.kind == "mixture"
+        v, e = H.vertex_count, H.edge_count
+        assert len(contractions) == 1 + v + v * (v - 1) // 2 + e
+        assert contractions.count(()) == 1
+
+    @SHARING_CASES
+    def test_constants_block_contractions(self, name, contractions, capsys):
+        # product is refined, so the table has two non-regular blocks
+        H = SHARING_PATTERNS[name]
+        assert cli.main(["constants", "--pattern", name, "--kernel", "product", "--m", "8"]) == 0
+        assert capsys.readouterr().out.count("regular = false") == 2
+        v, e = H.vertex_count, H.edge_count
+        assert len(contractions) == 2 * (1 + v + e)
+        assert contractions.count(()) == 2
+
+    def test_gaussian_tau2_is_tau_squared(self, graphon_suite, small_patterns):
+        gaussian = 0
+        for W in graphon_suite:
+            for H in small_patterns.values():
+                law = limit_law(H, W)
+                if law.kind == "gaussian":
+                    gaussian += 1
+                    assert law.tau2 == tau_squared(H, W)
+        assert gaussian > 0
+
+    def test_defect_unchanged_by_limit_law(self, graphon_suite, small_patterns):
+        for W in graphon_suite:
+            for H in small_patterns.values():
+                before = regularity_defect(H, W)
+                limit_law(H, W)
+                assert regularity_defect(H, W) == before
+
+    @SHARING_CASES
+    def test_limit_law_leaves_shared_sum_unchanged(self, name, monkeypatch):
+        H = SHARING_PATTERNS[name]
+        handed_out = watch_shared_sums(monkeypatch, limits)
+        for W in (discretize(KernelSpec.product(), 16), as_step_graphon(SKEWED)):
+            assert limit_law(H, W).kind == "gaussian"
+        assert len(handed_out) == 2
+        for S, copy in handed_out:
+            assert np.array_equal(S, copy)
+
+    def test_constants_leave_shared_sum_unchanged(self, monkeypatch, capsys):
+        handed_out = watch_shared_sums(monkeypatch, cli)
+        assert cli.main(["constants", "--pattern", "path3", "--kernel", "product", "--m", "8"]) == 0
+        capsys.readouterr()
+        assert len(handed_out) == 2
+        for S, copy in handed_out:
+            assert np.array_equal(S, copy)
 
 
 class TestSampleLimit:

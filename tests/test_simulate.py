@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,38 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n=2)
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -1e-300, math.inf])
+    def test_rejects_bad_regularity_tol(self, value):
+        with pytest.raises(ValueError, match="regularity_tol"):
+            small_config(regularity_tol=value)
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -0.1, 1.0 + 1e-12, math.inf])
+    def test_rejects_bad_ks_threshold(self, value):
+        with pytest.raises(ValueError, match="ks_threshold"):
+            small_config(ks_threshold=value)
+
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_variance_band(self, value):
+        with pytest.raises(ValueError, match="variance_band"):
+            small_config(variance_band=value)
+
+    def test_accepts_tolerances_at_their_bounds(self):
+        small_config(regularity_tol=0.0, ks_threshold=1.0, variance_band=1e-300)
+        small_config(ks_threshold=1e-9, variance_band=5.0)
+
+    def test_rejects_nan_tolerance_from_json(self):
+        data = small_config().to_json_dict()
+        data["regularity_tol"] = "nan"
+        with pytest.raises(ValueError, match="regularity_tol"):
+            ExperimentConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "name", ["quick_smoke", "two_star_product", "two_star_two_block"]
+    )
+    def test_shipped_configs_load(self, name):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        ExperimentConfig.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+
 
 class TestRunExperiment:
     def test_mixture_branch_smoke(self):
@@ -213,6 +246,21 @@ class TestCli:
         assert code == 0
         assert "sigma2 = 0.015625" in out
         assert "spec_minus = [0.09375" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--pattern", "k1", "--kernel", "constant:0.3"],  # no edges: sigma2 fails
+            ["--pattern", "k1", "--kernel", "product", "--m", "8"],  # fails in both blocks
+            ["--pattern", "k3", "--kernel", "constant:1.0"],  # degenerate kernel
+        ],
+        ids=["k1-constant", "k1-product", "k3-all-ones"],
+    )
+    def test_constants_failure_prints_nothing(self, argv, capsys):
+        assert main(["constants", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip()
 
     def test_constants_product_reports_refinement(self, capsys):
         code = main(
