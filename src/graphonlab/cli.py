@@ -346,11 +346,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:  # NaN fails this too
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
         return args.func(args)
     except DegenerateGraphonError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,11 @@
 """Exact homomorphism densities on step graphons.
 
 The density of a pattern F in a step kernel W is the sum over all maps from
-V(F) to blocks of the product of block weights and edge values. That sum is
-a tensor-network contraction (one index per pattern vertex, one matrix per
-edge) and is evaluated exactly, in time far below the naive k^|V(F)| bound
-for the small patterns in scope.
+V(F) to blocks of the product of block weights and edge values: the copy
+count's sum over labellings, with blocks in place of host vertices. It is
+evaluated by the vertex elimination that counts copies (graphs._eliminate),
+with the block weights as unary factors and the kernel on every edge; a
+conditional density keeps its marked vertices as axes of the result.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph, automorphism_count
+from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph, _eliminate, automorphism_count
 from .graphon import StepGraphon
 
 # A step computation is declared regular when the defect is at most this.
@@ -30,22 +31,14 @@ class DegenerateGraphonError(ValueError):
 
 
 def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> np.ndarray:
-    """One einsum over the vertex weights of the unmarked vertices and the
-    kernel on every edge; pattern vertex u is einsum index u - 1, and the
-    result keeps one axis per mark, in mark order."""
-    v = F.vertex_count
+    """Vertex elimination with the block weights on the unmarked vertices,
+    all ones on the marks and the kernel on every edge; the result keeps
+    one axis per mark, in mark order."""
+    v, k = F.vertex_count, W.block_count
     if v > PATTERN_VERTEX_BOUND:
         raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
-    marked = set(marks)
-    operands: list = []
-    for u in range(1, v + 1):
-        if u not in marked:
-            operands += [W.block_weights, [u - 1]]
-    for a, b in F.sorted_edges():
-        operands += [W.values, [a - 1, b - 1]]
-    for u in marks:  # keeps isolated marked vertices addressable
-        operands += [np.ones(W.block_count), [u - 1]]
-    return np.einsum(*operands, [u - 1 for u in marks], optimize=True)
+    unary = {u: np.ones(k) if u in marks else W.block_weights for u in range(1, v + 1)}
+    return _eliminate(unary, dict.fromkeys(F.edges, W.values), k, marks)
 
 
 def hom_density(F: LabeledGraph, W: StepGraphon) -> float:

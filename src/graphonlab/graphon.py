@@ -69,11 +69,6 @@ class StepGraphon:
         """Block-constant degree function: d_i = sum_j pi_j B_ij."""
         return self.values @ self.block_weights
 
-    def edge_density(self) -> float:
-        """Integral of the kernel over the unit square."""
-        pi = self.block_weights
-        return float(pi @ self.values @ pi)
-
     def to_json_dict(self) -> dict:
         return {"pi": self.block_weights.tolist(), "B": self.values.tolist()}
 

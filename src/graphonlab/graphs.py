@@ -185,35 +185,35 @@ def _rows(pair: dict, a: int, b: int) -> np.ndarray:
     return M if a < b else M.T
 
 
-def _eliminate(unary: dict, pair: dict, size: int) -> int:
-    """Sum over maps of the remaining pattern vertices into `size` host
-    vertices of the product of the unary factors (None: all ones) and the
-    pairwise factors, keyed (a, b) with a < b and rows indexed by a.
+def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = ()):
+    """Sum over maps of the unmarked pattern vertices into `size` host
+    vertices (or blocks) of the product of the unary factors (None: all
+    ones) and the pairwise factors, keyed (a, b) with a < b and rows indexed
+    by a. Each marked vertex needs a unary array and is kept as one axis of
+    the result, in mark order; with no marks the result is a float64 scalar.
 
     Vertices of degree 0, 1 and 2 are summed out by a sum, a matrix-vector
-    product and a matrix product; when every remaining vertex has degree
-    >= 3, the vertex of largest degree is pinned to each host vertex in
-    turn. Every intermediate entry counts partial homomorphisms, so it is
-    an integer of at most n^|V(H)|, which float64 holds exactly under
-    EXACT_COUNT_BOUND.
+    product and a matrix product; when every remaining unmarked vertex has
+    degree >= 3, the one of largest degree is pinned to each host vertex in
+    turn. Counting on a 0/1 matrix, every intermediate entry is an integer
+    of at most n^|V(H)|, which float64 holds exactly under EXACT_COUNT_BOUND.
     """
     unary = dict(unary)
     pair = dict(pair)
-    total = 1
-    while unary:
+    total = 1.0
+    while len(unary) > len(marks):
         nbrs: dict[int, list[int]] = {u: [] for u in unary}
         for a, b in pair:
             nbrs[a].append(b)
             nbrs[b].append(a)
-        u = min(unary, key=lambda w: len(nbrs[w]))
+        free = [w for w in unary if w not in marks] if marks else unary
+        u = min(free, key=lambda w: len(nbrs[w]))
         degree = len(nbrs[u])
         if degree >= 3:
-            return total * _pin(unary, pair, nbrs, size)
+            return total * _pin(unary, pair, nbrs, size, marks)
         f = unary.pop(u)
         if degree == 0:
-            total *= size if f is None else round(float(f.sum()))
-            if total == 0:
-                return 0
+            total *= size if f is None else f.sum()
         elif degree == 1:
             (w,) = nbrs[u]
             M = _rows(pair, w, u)
@@ -222,26 +222,31 @@ def _eliminate(unary: dict, pair: dict, size: int) -> int:
         else:
             w, x = nbrs[u]
             left = _rows(pair, w, u)
-            if f is not None:
-                left = left * f
-            P = left @ _rows(pair, u, x)
+            P = (left if f is None else left * f) @ _rows(pair, u, x)
             if w > x:
                 P = P.T
             k = _sorted_edge(w, x)
-            pair[k] = P if k not in pair else pair[k] * P
+            if k in pair:
+                P *= pair[k]  # P is a fresh product, so no other factor changes
+            pair[k] = P
+    for u in marks:  # only marks remain: place each factor on its axes
+        total = total * unary[u].reshape([size if w == u else 1 for w in marks])
+    for (a, b), M in pair.items():  # total already has every axis
+        M = M if marks.index(a) < marks.index(b) else M.T
+        total *= M.reshape([size if w in (a, b) else 1 for w in marks])
     return total
 
 
-def _pin(unary: dict, pair: dict, nbrs: dict, size: int) -> int:
-    """Sum of _eliminate over every host vertex for the pattern vertex of
-    largest degree. When that vertex is adjacent to every other remaining
-    vertex, each of them lies in its neighbourhood and the host shrinks to
-    it."""
-    p = max(unary, key=lambda w: len(nbrs[w]))
+def _pin(unary: dict, pair: dict, nbrs: dict, size: int, marks: tuple[int, ...]):
+    """Sum of _eliminate over every host vertex for the unmarked vertex of
+    largest degree. With no marks, when that vertex is adjacent to every
+    other remaining vertex, each of them lies in its neighbourhood and the
+    host shrinks to it."""
+    p = max((w for w in unary if w not in marks), key=lambda w: len(nbrs[w]))
     f = unary.pop(p)
     rows = {w: _rows(pair, p, w) for w in nbrs[p]}
-    restrict = len(rows) == len(unary)
-    total = 0
+    restrict = not marks and len(rows) == len(unary)
+    total = np.zeros((size,) * len(marks))
     for a in range(size):
         if f is not None and f[a] == 0:
             continue
@@ -253,6 +258,7 @@ def _pin(unary: dict, pair: dict, nbrs: dict, size: int) -> int:
             keep = np.flatnonzero(np.logical_or.reduce([R[a] != 0 for R in rows.values()]))
             if keep.size == 0:
                 continue
+        if restrict and keep.size < size:  # a cut keeping every vertex would only copy
             sub_unary = {w: g[keep] for w, g in sub_unary.items()}
             cut: dict[int, np.ndarray] = {}
             for M in pair.values():
@@ -260,15 +266,16 @@ def _pin(unary: dict, pair: dict, nbrs: dict, size: int) -> int:
                     cut[id(M)] = M[np.ix_(keep, keep)]
             sub_pair = {k: cut[id(M)] for k, M in pair.items()}
             sub_size = keep.size
-        h = _eliminate(sub_unary, sub_pair, sub_size)
-        total += h if f is None else round(float(f[a])) * h
+        h = _eliminate(sub_unary, sub_pair, sub_size, marks)
+        # not +=, which with no marks would add in place to a slow 0-d array
+        total = total + (h if f is None else f[a] * h)
     return total
 
 
 def _hom(F: LabeledGraph, A: np.ndarray) -> int:
     """Homomorphisms from F into the host with 0/1 adjacency matrix A."""
-    return _eliminate(dict.fromkeys(range(1, F.vertex_count + 1)),
-                      dict.fromkeys(F.edges, A), A.shape[0])
+    return round(float(_eliminate(dict.fromkeys(range(1, F.vertex_count + 1)),
+                                  dict.fromkeys(F.edges, A), A.shape[0])))
 
 
 def _adjacency(G: LabeledGraph | np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ is evidence.
 
 The joins live here, and so does the contraction their densities come
 from: one einsum with an operand per vertex weight and per edge copy,
-written independently of the package's engine. A strong edge join keeps
-both copies of the shared edge, so it is returned as a vertex count with an
+written independently of the package's vertex elimination; with marks it
+gives conditional densities too. A strong edge join keeps both copies of
+the shared edge, so it is returned as a vertex count with an
 {edge: multiplicity} map rather than as a simple graph.
 
 Returned constants are not clamped at zero.
@@ -26,18 +27,23 @@ def _sorted_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def einsum_density(F: LabeledGraph | tuple[int, dict[Edge, int]], W: StepGraphon) -> float:
+def einsum_density(
+    F: LabeledGraph | tuple[int, dict[Edge, int]], W: StepGraphon, marks: tuple[int, ...] = ()
+) -> float | np.ndarray:
     """t(F, W) for a simple graph or a (vertex_count, {edge: multiplicity})
-    multigraph: an edge of multiplicity m enters as m copies of the kernel."""
+    multigraph: an edge of multiplicity m enters as m copies of the kernel.
+    With marks, the conditional density instead: the marked vertices carry
+    no block weight and stay as output axes, in mark order."""
     if isinstance(F, LabeledGraph):
         F = (F.vertex_count, dict.fromkeys(F.edges, 1))
     vertex_count, multiplicity = F
     operands: list = []
-    for u in range(vertex_count):
-        operands += [W.block_weights, [u]]
+    for u in range(1, vertex_count + 1):
+        operands += [np.ones(W.block_count) if u in marks else W.block_weights, [u - 1]]
     for (a, b), m in sorted(multiplicity.items()):
         operands += [W.values, [a - 1, b - 1]] * m
-    return float(np.einsum(*operands, [], optimize=True))
+    out = np.einsum(*operands, [u - 1 for u in marks], optimize=True)
+    return out if marks else float(out)
 
 
 def average(values: np.ndarray, W: StepGraphon) -> float:

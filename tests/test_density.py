@@ -1,6 +1,10 @@
 """Density module: homomorphism densities, conditionals, regularity, and the
 two-point conditional kernel."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import ZOO
@@ -57,6 +61,23 @@ class TestHomDensity:
         H = ZOO[name]
         for W in graphon_suite:
             assert hom_density(H, W) == pytest.approx(einsum_density(H, W), rel=1e-12)
+
+    # every vertex of these has degree >= 3, so the engine pins a vertex and
+    # carries the block weights through the pin
+    @pytest.mark.parametrize("name,m", [("k4", 64), ("wheel4", 16), ("k5", 16)])
+    def test_pinned_patterns_match_einsum_oracle_on_product(self, name, m):
+        W = discretize(KernelSpec.product(), m)
+        assert hom_density(ZOO[name], W) == pytest.approx(einsum_density(ZOO[name], W), rel=1e-12)
+
+    @pytest.mark.parametrize("name,m", [("k4", 64), ("wheel4", 64), ("k5", 64), ("k4", 256)])
+    def test_pinned_patterns_match_exact_product_value(self, name, m):
+        # the cell averages of xy are c_i c_j with c_i the cell midpoints, so
+        # t(F, W) = prod_u sum_i pi_i c_i^(d_u), here in exact arithmetic
+        H = ZOO[name]
+        c = [Fraction(2 * i + 1, 2 * m) for i in range(m)]
+        exact = math.prod(sum(ci**d for ci in c) / m for d in H.degrees())
+        W = discretize(KernelSpec.product(), m)
+        assert hom_density(H, W) == pytest.approx(float(exact), rel=1e-12)
 
     def test_multigraph_density_powers_the_kernel(self):
         # the oracle's strong-join densities: an edge of multiplicity 2 is W^2
@@ -125,6 +146,28 @@ class TestConditionalDensity:
             B = W.values
             expected = B[:, :, None] * B[:, None, :]
             assert np.allclose(vals, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_matches_einsum_oracle(self, graphon_suite, name):
+        # every single mark, every ordered pair, and a triple in two orders
+        H = ZOO[name]
+        vertices = range(1, H.vertex_count + 1)
+        mark_tuples = [(a,) for a in vertices] + list(itertools.permutations(vertices, 2))
+        for W in graphon_suite:
+            for marks in mark_tuples + [(1, 2, 3), (3, 1, 2)]:
+                got = conditional_density(H, marks, W)
+                expected = einsum_density(H, W, marks)
+                assert got.shape == expected.shape == (W.block_count,) * len(marks)
+                assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", ["k4", "wheel4", "k5"])
+    def test_pinned_patterns_on_a_kernel_with_zeros(self, name):
+        # a pinned vertex's zero kernel entries must not cut the mark axes
+        H, W = ZOO[name], discretize(KernelSpec.two_block_diagonal(0.5), 4)
+        assert hom_density(H, W) == pytest.approx(einsum_density(H, W), rel=1e-12)
+        for marks in [(1,), (2, 1), (1, 2, 3)]:
+            expected = einsum_density(H, W, marks)
+            assert np.allclose(conditional_density(H, marks, W), expected, rtol=1e-12, atol=0)
 
     def test_rejects_duplicate_marks(self):
         with pytest.raises(ValueError):

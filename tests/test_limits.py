@@ -41,8 +41,8 @@ SKEWED = KernelSpec.custom((0.5, 0.5), [[0.4, 0.5], [0.5, 0.7]])
 TAU_STAR2_PRODUCT = float(Fraction(1, 80) + Fraction(4, 108) + Fraction(4, 96) - Fraction(9, 144)) / 4
 
 
-# Patterns of 5 and 6 vertices with treewidth <= 2, which einsum contracts
-# quickly at large m.
+# Patterns of 5 and 6 vertices with treewidth <= 2, which vertex elimination
+# contracts without pinning, quickly at large m.
 PATH4 = LabeledGraph.path(4)
 STAR4 = LabeledGraph.star(4)
 C5 = LabeledGraph.cycle(5)
@@ -50,8 +50,8 @@ PATH5 = LabeledGraph.path(5)
 C6 = LabeledGraph.cycle(6)
 
 # Four-vertex patterns checked against the join sums on the product kernel.
-# K4's self-joins have treewidth 3 but greedy einsum paths cost k^7 on them
-# (about 5 s per vertex join at m=16), so K4 is checked at m=8.
+# K4's self-joins have treewidth 3 but the oracle's greedy einsum paths cost
+# k^7 on them (about 5 s per vertex join at m=16), so K4 is checked at m=8.
 PRODUCT_ORACLE_CASES = pytest.mark.parametrize(
     "H,m",
     [

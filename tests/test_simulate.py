@@ -17,7 +17,7 @@ from graphonlab import (
     run_experiment,
     sample_limit,
 )
-from graphonlab import simulate
+from graphonlab import graphon, simulate
 from graphonlab.cli import main
 from graphonlab.simulate import _sample_variance, replicate_seed
 
@@ -276,6 +276,33 @@ class TestCli:
         assert "regular = true" in capsys.readouterr().out
         assert main(["regularity", "--pattern", "star2", "--kernel", "product", "--m", "64"]) == 0
         assert "regular = false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["regularity", "--pattern", "k2", "--kernel", "product", "--m", "8"],
+            ["constants", "--pattern", "star2", "--kernel", "two_block:0.5"],
+        ],
+        ids=["regularity", "constants"],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(self, argv, tol, capsys):
+        # NaN compares false, a negative bound is never met and inf always
+        # is, so each would print the same verdict for every kernel
+        assert main([*argv, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        def refuse(spec, m):
+            raise MemoryError(f"Unable to allocate {8 * m * m} bytes for an {m} x {m} kernel")
+
+        monkeypatch.setattr(graphon, "discretize", refuse)
+        assert main(["spectrum", "--kernel", "product", "--m", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate")
 
     def test_spectrum_json(self, capsys):
         assert main(["spectrum", "--kernel", "two_block:0.5", "--pattern", "star2"]) == 0
