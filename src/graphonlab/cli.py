@@ -13,6 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .graphon import (
     discretize,
 )
 from .graphs import LabeledGraph, automorphism_count, count_copies
-from .limits import _tau_squared_of, sigma_squared, tau_squared
+from .limits import _tau_squared_of, limit_law, sigma_squared, tau_squared
 from .sampler import sample_graph
 from .simulate import ExperimentConfig, run_experiment
 from .spectral import _degree_value, dwh, spec_minus, spectrum
@@ -43,23 +44,21 @@ from .spectral import _degree_value, dwh, spec_minus, spectrum
 _BUILTIN_PATTERN = re.compile(r"^(k|star|path|cycle)(\d+)$")
 
 
+def _builtin_pattern(name: str) -> LabeledGraph:
+    """kN (complete), starN (N leaves), pathN (N edges) or cycleN."""
+    m = _BUILTIN_PATTERN.match(name.lower())
+    if not m:
+        raise ValueError(f"pattern {name!r} is neither a file nor a builtin name")
+    build = {"k": LabeledGraph.complete, "star": LabeledGraph.star, "path": LabeledGraph.path}
+    return build.get(m.group(1), LabeledGraph.cycle)(int(m.group(2)))
+
+
 def _load_pattern(ref: str) -> LabeledGraph:
-    """Pattern from a JSON file path, or a builtin name: kN (complete),
-    starN (N leaves), pathN (N edges), cycleN."""
+    """Pattern from a JSON file path, or a builtin name."""
     path = Path(ref)
     if path.exists():
         return LabeledGraph.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-    m = _BUILTIN_PATTERN.match(ref.lower())
-    if not m:
-        raise ValueError(f"pattern {ref!r} is neither a file nor a builtin name")
-    kind, size = m.group(1), int(m.group(2))
-    if kind == "k":
-        return LabeledGraph.complete(size)
-    if kind == "star":
-        return LabeledGraph.star(size)
-    if kind == "path":
-        return LabeledGraph.path(size)
-    return LabeledGraph.cycle(size)
+    return _builtin_pattern(ref)
 
 
 def _load_kernel(ref: str) -> KernelSpec:
@@ -75,9 +74,9 @@ def _load_kernel(ref: str) -> KernelSpec:
         return KernelSpec.two_block_diagonal(float(arg))
     if kind == "custom":
         data = json.loads(Path(arg).read_text(encoding="utf-8"))
-        if "kind" in data:
-            return KernelSpec.from_json_dict(data)
-        return KernelSpec.custom(data["pi"], data["B"])
+        if isinstance(data, dict) and "kind" not in data:
+            data = {"kind": "custom", **data}
+        return KernelSpec.from_json_dict(data)
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
@@ -163,136 +162,144 @@ def _cmd_simulate(args) -> int:
     return 0 if result.passed else 1
 
 
-def _selftest_checks():
-    """Closed-form oracle suite; every expected value is hand-derived."""
-    k2 = LabeledGraph.complete(2)
-    k3 = LabeledGraph.complete(3)
-    star2 = LabeledGraph.star(2)
-    c4 = LabeledGraph.cycle(4)
-    path4 = LabeledGraph.path(4)
+class _ClosedForm(NamedTuple):
+    """A closed-form row: `compute()` runs the package and must equal `expected`
+    within `tol` (scalar or per element), shape included; a bool is 0 or 1."""
 
-    def close(x, y, tol=1e-12):
-        return abs(x - y) <= tol
+    name: str
+    compute: Callable[[], object]
+    expected: object
+    tol: object = 0.0
 
-    def two_point_two_block(p):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(p))
-        M = two_point_graphon(star2, W).values
-        target = 3.0 * p * p / 4.0
-        return close(M[0, 0], target) and close(M[1, 1], target) and M[0, 1] == 0.0
+    def holds(self) -> bool:
+        value, expected = (np.asarray(x, dtype=float) for x in (self.compute(), self.expected))
+        return value.shape == expected.shape and bool(np.all(np.abs(value - expected) <= self.tol))
 
-    def sigma_two_block(p):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(p))
-        return close(sigma_squared(star2, W), p**3 * (1 - p) / 4.0)
 
-    def spectrum_two_block():
-        p = 0.5
-        W = as_step_graphon(KernelSpec.two_block_diagonal(p))
-        spec = spectrum(two_point_graphon(star2, W))
-        lam = np.sort(spec.eigenvalues)
-        target = 3.0 * p * p / 8.0
-        if lam.size != 2 or not np.allclose(lam, target, atol=1e-10):
-            return False
-        kept = spec_minus(spec, dwh(star2, W))
-        return kept.size == 1 and close(float(kept[0]), target, 1e-10)
+def _product_moment(k: int, m: int | None) -> Fraction:
+    """Mean of x^k over the midpoints of m uniform cells (over [0, 1] if m is
+    None). Cell averages of xy are products of midpoints, so in a density of
+    xy each vertex of degree d contributes the moment of order d."""
+    if m is None:
+        return Fraction(1, k + 1)
+    return Fraction(sum((2 * i + 1) ** k for i in range(m)), m * (2 * m) ** k)
 
-    def defects_zero():
-        const = as_step_graphon(KernelSpec.constant(0.4))
-        wtilde = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
-        checks = [regularity_defect(H, const) <= 1e-10 for H in (k2, star2, k3)]
-        checks.append(regularity_defect(star2, wtilde) <= 1e-10)
-        return all(checks)
 
-    def product_not_regular():
-        W = discretize(KernelSpec.product(), 256)
-        return regularity_defect(star2, W) > 1e-4
+def _product_density(H: LabeledGraph, m: int | None) -> Fraction:
+    return math.prod(_product_moment(d, m) for d in H.degrees())
 
-    def tau_product(H):
-        # in xy the one-point conditional at a is t (d_a+1) x^(d_a) with
-        # t = prod_u 1/(d_u+1), so int t_a t_b = t^2 (d_a+1)(d_b+1)/(d_a+d_b+1)
-        deg, v = H.degrees(), H.vertex_count
-        t = Fraction(1, math.prod(d + 1 for d in deg))
-        joins = sum(t * t * (a + 1) * (b + 1) / Fraction(a + b + 1) for a in deg for b in deg)
-        target = float((joins - v * v * t * t) / automorphism_count(H) ** 2)
-        return close(tau_squared(H, discretize(KernelSpec.product(), 256)), target, 1e-3 * target)
 
-    def sigma_constant(H, p):
-        # every edge term is p^(2e-1)(1-p): 2 e^2 p^(2e-1) (1-p) / |Aut H|^2
-        e = H.edge_count
-        target = 2 * e * e * p ** (2 * e - 1) * (1 - p) / automorphism_count(H) ** 2
-        return close(sigma_squared(H, as_step_graphon(KernelSpec.constant(p))), target)
+def _product_tau(H: LabeledGraph, aut: int, m: int | None) -> Fraction:
+    """tau2 of H in xy: the one-point conditional at a is t x^(d_a) / M_(d_a),
+    so int t_a t_b = t^2 M_(d_a + d_b) / (M_(d_a) M_(d_b))."""
+    d, v, t = H.degrees(), H.vertex_count, _product_density(H, m)
+    M = [_product_moment(k, m) for k in range(2 * max(d) + 1)]
+    return t * t * (sum(M[a + b] / (M[a] * M[b]) for a in d for b in d) - v * v) / aut**2
 
-    def density_examples():
-        ok = close(hom_density(k2, as_step_graphon(KernelSpec.constant(0.3))), 0.3)
-        wtilde = as_step_graphon(KernelSpec.two_block_diagonal(0.6))
-        ok = ok and close(hom_density(star2, wtilde), 0.36 / 4.0)
-        prod = discretize(KernelSpec.product(), 128)
-        return ok and close(hom_density(star2, prod), 1.0 / 12.0, 1e-5)
 
-    def mean_examples():
-        ok = close(mean_count(k2, as_step_graphon(KernelSpec.constant(0.7)), 3), 3 * 0.7)
-        ok = ok and close(mean_count(k3, as_step_graphon(KernelSpec.constant(0.5)), 4), 4 * 0.5**3)
-        return ok
+def _closed_forms() -> list[_ClosedForm]:
+    """The closed-form table that `selftest` and the acceptance test run; every
+    expected value is hand-derived, and a row computes nothing until checked."""
+    auts = {"k2": 2, "k3": 6, "k4": 24, "star2": 2, "star3": 6, "star4": 24, "path3": 2,
+            "path4": 2, "path5": 2, "cycle4": 8, "cycle5": 10, "cycle6": 12}
+    graphs = {name: _builtin_pattern(name) for name in auts}
 
-    def automorphisms():
-        return (
-            automorphism_count(k3) == 6
-            and automorphism_count(star2) == 2
-            and automorphism_count(path4) == 2
-        )
+    def row(quantity, name, ref, compute, expected, tol=0.0) -> _ClosedForm:
+        spec, _, m = ref.partition(", m=")  # "product, m=64": discretized to 64 cells
+        H, kernel, m = graphs[name], _load_kernel(spec), int(m or DEFAULT_DISCRETIZATION)
+        return _ClosedForm(f"{quantity} of {name} on {ref}",
+                           lambda: compute(H, as_step_graphon(kernel, m)), expected, tol)
 
-    def complete_sampling():
-        W = as_step_graphon(KernelSpec.constant(1.0))
-        G = sample_graph(W, 6, seed=11)
-        return count_copies(k3, G) == 20  # C(6,3)
+    def mixture(H, W):
+        law = limit_law(H, W)
+        return (law.sigma2, *law.lambdas, law.variance)
 
-    def complete_graph_counts(n):
-        # c4 takes the Moebius sum over four quotients, k4 the pinning branch
-        G = LabeledGraph.complete(n)
-        expected = {
-            LabeledGraph.cycle(4): 3 * math.comb(n, 4),
-            LabeledGraph.complete(4): math.comb(n, 4),
-            LabeledGraph.star(3): n * math.comb(n - 1, 3),
-            LabeledGraph.path(3): math.factorial(n) // (2 * math.factorial(n - 4)),
-        }
-        return all(count_copies(H, G) == count for H, count in expected.items())
+    def regular(name: str, kind: str, p: float, t: float, sigma2: float) -> list[_ClosedForm]:
+        # H is regular on the k blocks of constant:p (k = 1) and two_block:p
+        # (k = 2): the defect and tau2 vanish, W_H is k d_wh on the diagonal
+        # and exactly 0 off it, d_wh = v(v-1)/(2|Aut|) t, and k - 1 of its k
+        # eigenvalues d_wh are chi-square weights. At p = 1/2 sigma2 is exact.
+        k, v, aut = (2 if kind == "two_block" else 1), graphs[name].vertex_count, auts[name]
+        d_wh, mean = v * (v - 1) / (2 * aut) * t, math.factorial(v + 1) / aut * t
+        lams = [d_wh] * (k - 1)
+        return [row(quantity, name, f"{kind}:{p}", *check) for quantity, *check in [
+            ("t", hom_density, t, 1e-15),
+            ("sigma2", sigma_squared, sigma2, 0.0 if p == 0.5 else 1e-14 * sigma2),
+            ("d_wh", dwh, d_wh, 1e-15),
+            ("two-point kernel", lambda H, W: two_point_graphon(H, W).values,
+             k * d_wh * np.eye(k), 1e-15 * np.eye(k)),
+            ("spectrum of the two-point kernel",
+             lambda H, W: spectrum(two_point_graphon(H, W)).eigenvalues, [d_wh] * k, 1e-15),
+            ("limit law", mixture, [sigma2, *lams, sigma2 + 2 * sum(x * x for x in lams)], 1e-15),
+            (f"mean count at n={v + 1}", lambda H, W: mean_count(H, W, v + 1), mean, 1e-14 * mean),
+            ("defect and tau2", lambda H, W: (regularity_defect(H, W), tau_squared(H, W)),
+             [0, 0], [1e-12, 0]),
+        ]]
 
+    def constant(name: str, p: float) -> list[_ClosedForm]:
+        # t = p^e; each of the e^2 ordered edge pairs adds p^(2e-1) (1-p) to
+        # sigma2 |Aut|^2 / 2
+        e, aut = graphs[name].edge_count, auts[name]
+        return regular(name, "constant", p, p**e, 2 * e * e * p ** (2 * e - 1) * (1 - p) / aut**2)
+
+    def product(quantity, name, m, compute, exact: Fraction) -> _ClosedForm:
+        return row(quantity, name, f"product, m={m}", compute, float(exact), 1e-12 * float(exact))
+
+    def product_tau(name: str) -> _ClosedForm:
+        # exact at both m, and nearer the m -> inf value at m = 512 than at 256
+        H, aut = graphs[name], auts[name]
+        at256, at512, limit = (float(_product_tau(H, aut, m)) for m in (256, 512, None))
+
+        def compute():
+            a, b = (tau_squared(H, discretize(KernelSpec.product(), m)) for m in (256, 512))
+            return a, b, abs(b - limit) < abs(a - limit)
+
+        return _ClosedForm(f"tau2 of {name} on product, m=256 and 512", compute,
+                           [at256, at512, True], [1e-12 * at256, 1e-12 * at512, 0])
+
+    star2 = graphs["star2"]
     return [
-        ("two_point kernel on the two-block graphon (p=0.3)", lambda: two_point_two_block(0.3)),
-        ("two_point kernel on the two-block graphon (p=0.9)", lambda: two_point_two_block(0.9)),
-        ("sigma2 on the two-block graphon (p=0.5 -> 1/64)", lambda: sigma_two_block(0.5)),
-        ("sigma2 on the two-block graphon (p=0.3)", lambda: sigma_two_block(0.3)),
-        ("spectrum and degree removal on the two-block graphon", spectrum_two_block),
-        ("zero defects for constant and two-block kernels", defects_zero),
-        ("product kernel is not 2-star regular", product_not_regular),
-        ("tau2 for 2-stars in the product kernel (m=256)", lambda: tau_product(star2)),
-        ("sigma2 for triangles in the constant kernel (p=0.2)", lambda: sigma_constant(k3, 0.2)),
-        ("sigma2 for triangles in the constant kernel (p=0.5)", lambda: sigma_constant(k3, 0.5)),
-        ("sigma2 for 4-cycles in the constant kernel (p=0.4)", lambda: sigma_constant(c4, 0.4)),
-        ("tau2 for 4-edge paths in the product kernel (m=256)", lambda: tau_product(path4)),
-        ("density spot checks", density_examples),
-        ("mean count spot checks", mean_examples),
-        ("automorphism counts", automorphisms),
-        ("all-ones kernel samples the complete graph", complete_sampling),
-        ("c4, k4, star3 and path3 counts in K_6", lambda: complete_graph_counts(6)),
-        ("c4, k4, star3 and path3 counts in K_9", lambda: complete_graph_counts(9)),
+        _ClosedForm("automorphism counts", lambda: [automorphism_count(H) for H in graphs.values()],
+                    list(auts.values())),
+        # on two_block:p the 2-star has degree p/2 on each block: t = p^2/4,
+        # so d_wh = 3p^2/8 and W_H = diag(3p^2/4); and sigma2 = p^3 (1-p) / 4
+        *(r for p in (0.3, 0.5, 0.9)
+          for r in regular("star2", "two_block", p, p * p / 4, p**3 * (1 - p) / 4)),
+        *(r for case in [("k2", 0.3), ("star2", 0.3), ("k3", 0.2), ("k3", 0.5), ("cycle4", 0.4),
+                         ("path5", 0.3), ("path5", 0.7), ("cycle6", 0.3), ("cycle6", 0.7)]
+          for r in constant(*case)),
+        # the self-joins of the 2-star: the 4-star, four centre-leaf joins and
+        # four leaf-leaf paths, each vertex of degree d adding the moment 1/(d+1)
+        _ClosedForm("tau2 of star2 in xy is 31/4320", lambda: _product_tau(star2, 2, None),
+                    Fraction(31, 4320)),
+        *(product_tau(name) for name in ("star2", "path4", "star4", "cycle5")),
+        product("limit law", "star2", 64, lambda H, W: limit_law(H, W).tau2,
+                _product_tau(star2, 2, 64)),
+        product("t", "star2", 256, hom_density, _product_density(star2, 256)),
+        product("t", "k4", 64, hom_density, _product_density(graphs["k4"], 64)),
+        row("regularity defect above 1e-4", "star2", "product, m=256",
+            lambda H, W: regularity_defect(H, W) > 1e-4, True),
+        row("copies in a sample", "k3", "constant:1",
+            lambda H, W: count_copies(H, sample_graph(W, 6, seed=11)), math.comb(6, 3)),
+        # cycle4 takes the Moebius sum over four quotients, k4 the pinning branch
+        _ClosedForm("cycle4, k4, star3 and path3 counts in K_6 and K_9",
+                    lambda: [count_copies(graphs[x], LabeledGraph.complete(n))
+                             for n in (6, 9) for x in ("cycle4", "k4", "star3", "path3")],
+                    [c for n in (6, 9) for c in (3 * math.comb(n, 4), math.comb(n, 4),
+                                                 n * math.comb(n - 1, 3), math.perm(n, 4) // 2)]),
     ]
 
 
 def _cmd_selftest(_args) -> int:
-    checks = _selftest_checks()
-    failures = 0
-    for name, check in checks:
+    rows, failures = _closed_forms(), 0
+    for row in rows:
         try:
-            ok = bool(check())
+            ok, note = row.holds(), ""
         except Exception as exc:  # a crash is a failure, not a usage error
-            ok = False
-            name = f"{name} ({type(exc).__name__}: {exc})"
-        if ok:
-            print(f"ok - {name}")
-        else:
-            failures += 1
-            print(f"FAIL - {name}")
-    print(f"{'PASS' if failures == 0 else 'FAIL'}: {len(checks) - failures} ok, {failures} failed")
+            ok, note = False, f" ({type(exc).__name__}: {exc})"
+        failures += not ok
+        print(f"{'ok' if ok else 'FAIL'} - {row.name}{note}")
+    print(f"{'PASS' if failures == 0 else 'FAIL'}: {len(rows) - failures} ok, {failures} failed")
     return 0 if failures == 0 else 1
 
 
@@ -303,9 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_kernel_opts(p, pattern_required=True):
-        if pattern_required:
-            p.add_argument("--pattern", required=True, help="pattern JSON file or builtin name")
+    def add_kernel_opts(p):
+        p.add_argument("--pattern", required=True, help="pattern JSON file or builtin name")
         p.add_argument("--kernel", required=True, help="constant:p | product | two_block:p | custom:FILE")
         p.add_argument("--m", type=int, default=DEFAULT_DISCRETIZATION,
                        help="cells used to discretize analytic kernels")

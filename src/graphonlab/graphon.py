@@ -8,6 +8,8 @@ symmetric kernels whose values may leave [0,1].
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -20,6 +22,28 @@ KIND_CONSTANT = "constant"
 KIND_PRODUCT = "product"
 KIND_TWO_BLOCK = "two_block"
 KIND_CUSTOM = "custom"
+
+# The keys of each kernel kind's JSON form.
+_KERNEL_KEYS = {KIND_CONSTANT: {"kind", "p"}, KIND_PRODUCT: {"kind"},
+                KIND_TWO_BLOCK: {"kind", "p"}, KIND_CUSTOM: {"kind", "pi", "B"}}
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; a bool, a string or a non-integral number
+    is refused, not converted."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_real(value, what: str) -> float:
+    """A finite number read from JSON; a bool or a string is refused, not
+    converted."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):  # NaN fails this too
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +58,9 @@ class StepGraphon:
         B = np.array(self.values, dtype=float)
         if pi.ndim != 1 or pi.size == 0:
             raise ValueError("block_weights must be a non-empty vector")
+        # NaN passes the sign and sum checks below, and inf can be symmetric
+        if not (np.all(np.isfinite(pi)) and np.all(np.isfinite(B))):
+            raise ValueError("block weights and values must be finite")
         if np.any(pi <= 0):
             raise ValueError("block weights must be positive")
         if abs(float(pi.sum()) - 1.0) > 1e-12:
@@ -133,16 +160,21 @@ class KernelSpec:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "KernelSpec":
-        kind = data["kind"]
+        """The kernel of a JSON object holding its kind and exactly the keys of
+        that kind; a custom kernel's "pi" is a list and its "B" a list of rows."""
+        kind = data.get("kind") if isinstance(data, Mapping) else None
+        if not isinstance(kind, str) or _KERNEL_KEYS.get(kind) != set(data):
+            raise ValueError(f"a kernel is an object with a known kind and its keys, got {data!r}")
         if kind == KIND_PRODUCT:
             return cls.product()
         if kind == KIND_CUSTOM:
-            return cls.custom(data["pi"], data["B"])
-        if kind == KIND_CONSTANT:
-            return cls.constant(float(data["p"]))
-        if kind == KIND_TWO_BLOCK:
-            return cls.two_block_diagonal(float(data["p"]))
-        raise ValueError(f"unknown kernel kind {kind!r}")
+            pi, B = data["pi"], data["B"]
+            if not (isinstance(pi, list) and isinstance(B, list)
+                    and all(isinstance(row, list) for row in B)):
+                raise ValueError(f'a custom kernel needs lists "pi" and "B", got {data!r}')
+            return cls.custom([_json_real(w, "pi entry") for w in pi],
+                              [[_json_real(x, "B entry") for x in row] for row in B])
+        return cls(kind, p=_json_real(data["p"], f"{kind} kernel p"))
 
 
 def _cell_average_step(breaks: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:

@@ -20,6 +20,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .graphon import _json_int
+
 Edge = tuple[int, int]
 
 # Brute-force automorphism enumeration refuses larger patterns.
@@ -110,18 +112,26 @@ class LabeledGraph:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LabeledGraph":
-        return cls.from_edges(int(data["n"]), ((int(a), int(b)) for a, b in data["edges"]))
+        """The graph of {"n": N, "edges": [[a, b], ...]}; any other shape is refused."""
+        if not (isinstance(data, Mapping) and set(data) == {"n", "edges"}
+                and isinstance(data["edges"], list)
+                and all(isinstance(e, list) and len(e) == 2 for e in data["edges"])):
+            raise ValueError(f'a pattern is {{"n": N, "edges": [[a, b], ...]}}, got {data!r}')
+        ends = ((_json_int(a, "edge end"), _json_int(b, "edge end")) for a, b in data["edges"])
+        return cls.from_edges(_json_int(data["n"], "pattern n"), ends)
 
 
-def automorphism_count(H: LabeledGraph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND) -> int:
+def automorphism_count(H: LabeledGraph) -> int:
     """Number of vertex permutations of H mapping its edge set onto itself.
 
     Brute force over all permutations; refuses patterns with more than
-    `max_vertices` vertices.
+    AUTOMORPHISM_VERTEX_BOUND vertices.
     """
     v = H.vertex_count
-    if v > max_vertices:
-        raise ValueError(f"automorphism enumeration limited to {max_vertices} vertices, got {v}")
+    if v > AUTOMORPHISM_VERTEX_BOUND:
+        raise ValueError(
+            f"automorphism enumeration limited to {AUTOMORPHISM_VERTEX_BOUND} vertices, got {v}"
+        )
     edges = H.edges
     count = 0
     for perm in itertools.permutations(range(1, v + 1)):

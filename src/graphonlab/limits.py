@@ -35,13 +35,7 @@ from .density import (
 )
 from .graphon import StepGraphon
 from .graphs import LabeledGraph, automorphism_count
-from .spectral import (
-    DEGREE_MATCH_TOL,
-    EIGENVALUE_TRUNCATION_TOL,
-    _degree_value,
-    spec_minus,
-    spectrum,
-)
+from .spectral import _degree_value, spec_minus, spectrum
 
 GAUSSIAN = "gaussian"
 MIXTURE = "mixture"
@@ -160,13 +154,7 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     return _clamp_variance(2.0 * total / (aut * aut), "sigma_squared")
 
 
-def limit_law(
-    H: LabeledGraph,
-    W: StepGraphon,
-    regularity_tol: float = REGULARITY_TOL,
-    eigenvalue_tol: float = EIGENVALUE_TRUNCATION_TOL,
-    degree_match_tol: float = DEGREE_MATCH_TOL,
-) -> LimitLaw:
+def limit_law(H: LabeledGraph, W: StepGraphon, regularity_tol: float = REGULARITY_TOL) -> LimitLaw:
     """Decide the branch from the regularity defect and assemble the law.
 
     t(H, W) and the one-point sum S are computed once: the defect, tau2
@@ -177,8 +165,7 @@ def limit_law(
     v = H.vertex_count
     if _defect(H, t, S) > regularity_tol:
         return LimitLaw.gaussian(_tau_squared_of(H, W, S), v)
-    spec = spectrum(two_point_graphon(H, W), truncation_tol=eigenvalue_tol)
-    lambdas = spec_minus(spec, _degree_value(H, t), tol=degree_match_tol)
+    lambdas = spec_minus(spectrum(two_point_graphon(H, W)), _degree_value(H, t))
     return LimitLaw.mixture(sigma_squared(H, W), lambdas.tolist(), v)
 
 

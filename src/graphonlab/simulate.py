@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from .density import REGULARITY_TOL, mean_count
 from .graphon import DEFAULT_DISCRETIZATION, KernelSpec, StepGraphon, as_step_graphon
+from .graphon import _json_int, _json_real
 from .graphs import LabeledGraph
 from .limits import LimitLaw, limit_law, sample_limit
 from .sampler import SampleRecord, _record, count_copies, sample_adjacency
@@ -131,23 +132,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentConfig":
-        version = data.get("schema_version", SCHEMA_VERSION)
+        """The config of a JSON object; unknown keys, and a bool, a string or
+        a non-integral number in an integer field, are refused."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)} - {"schema_version"}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        version = _json_int(data.get("schema_version", SCHEMA_VERSION), "schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
-        kwargs = {}
-        for key in ("regularity_tol", "ks_threshold", "variance_band"):
-            if key in data:
-                kwargs[key] = float(data[key])
-        if "discretization" in data:
-            kwargs["discretization"] = int(data["discretization"])
-        if "reference_draws" in data:
-            kwargs["reference_draws"] = int(data["reference_draws"])
+        ints = ("discretization", "reference_draws")
+        reals = ("regularity_tol", "ks_threshold", "variance_band")
+        kwargs = {key: _json_int(data[key], key) for key in ints if key in data}
+        kwargs.update({key: _json_real(data[key], key) for key in reals if key in data})
         return cls(
             pattern=LabeledGraph.from_json_dict(data["pattern"]),
             kernel=KernelSpec.from_json_dict(data["kernel"]),
-            n=int(data["n"]),
-            replicates=int(data["replicates"]),
-            master_seed=int(data["master_seed"]),
+            n=_json_int(data["n"], "n"),
+            replicates=_json_int(data["replicates"], "replicates"),
+            master_seed=_json_int(data["master_seed"], "master_seed"),
             **kwargs,
         )
 

@@ -63,14 +63,15 @@ class Spectrum:
         )
 
 
-def spectrum(kernel: StepGraphon, truncation_tol: float = EIGENVALUE_TRUNCATION_TOL) -> Spectrum:
-    """Nonzero spectrum of the integral operator of a symmetric step kernel."""
+def spectrum(kernel: StepGraphon) -> Spectrum:
+    """Nonzero spectrum of the integral operator of a symmetric step kernel;
+    eigenvalues at or below EIGENVALUE_TRUNCATION_TOL in magnitude are dropped."""
     pi = kernel.block_weights
     s = np.sqrt(pi)
     M = kernel.values * np.outer(s, s)
     eigvals, eigvecs = np.linalg.eigh(M)
     phi = eigvecs / s[:, None]
-    keep = np.abs(eigvals) > truncation_tol
+    keep = np.abs(eigvals) > EIGENVALUE_TRUNCATION_TOL
     eigvals = eigvals[keep]
     phi = phi[:, keep]
     order = np.argsort(-eigvals, kind="stable")
@@ -93,20 +94,20 @@ def _degree_value(H: LabeledGraph, t: float) -> float:
     return v * (v - 1) / (2 * automorphism_count(H)) * t
 
 
-def spec_minus(spec: Spectrum, degree_value: float, tol: float = DEGREE_MATCH_TOL) -> np.ndarray:
+def spec_minus(spec: Spectrum, degree_value: float) -> np.ndarray:
     """Eigenvalue multiset with one copy of the eigenvalue closest to
     `degree_value` removed.
 
-    Raises ValueError when no eigenvalue lies within `tol` of the degree
-    value; that signals the kernel was not degree-regular.
+    Raises ValueError when no eigenvalue lies within DEGREE_MATCH_TOL of the
+    degree value; that signals the kernel was not degree-regular.
     """
     lam = spec.eigenvalues
     if lam.size == 0:
         raise ValueError("spectrum is empty; no eigenvalue matches the degree value")
     i = int(np.argmin(np.abs(lam - degree_value)))
-    if abs(float(lam[i]) - degree_value) > tol:
+    if abs(float(lam[i]) - degree_value) > DEGREE_MATCH_TOL:
         raise ValueError(
-            f"no eigenvalue within {tol} of the degree value {degree_value!r}; "
+            f"no eigenvalue within {DEGREE_MATCH_TOL} of the degree value {degree_value!r}; "
             "the kernel does not look degree-regular"
         )
     return np.delete(lam, i)

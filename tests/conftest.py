@@ -1,11 +1,12 @@
-"""Shared helpers: deterministic random step graphons and pattern zoo."""
+"""Shared helpers: deterministic random step graphons, pattern zoo, and
+the closed-form table behind `graphonlab selftest`."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from graphonlab import LabeledGraph, StepGraphon
+from graphonlab import LabeledGraph, StepGraphon, cli
 
 _K4 = LabeledGraph.complete(4)
 
@@ -29,6 +30,15 @@ ZOO = {
     "two_edges": LabeledGraph.from_edges(4, [(1, 2), (3, 4)]),
     "isolated_vertex": LabeledGraph.from_edges(4, [(1, 2), (2, 3)]),
 }
+
+# The rows of the closed-form table, by name; the acceptance test runs every
+# row, and module tests name the rows for the function they test.
+CLOSED_FORMS = {row.name: row for row in cli._closed_forms()}
+
+
+def closed_form(name: str) -> bool:
+    """Whether the closed-form row `name` holds."""
+    return CLOSED_FORMS[name].holds()
 
 
 def random_step_graphon(rng: np.random.Generator, max_blocks: int = 4) -> StepGraphon:

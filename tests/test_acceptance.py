@@ -1,6 +1,7 @@
 """Acceptance suite.
 
-One test per criterion, each at its stated tolerance, printing a
+One test per criterion, and one case per row of the closed-form table that
+`graphonlab selftest` runs, each at its stated tolerance, printing a
 "[acceptance] <name>: PASS/FAIL" line (visible with pytest -s). The
 distributional tests run the full-size Monte Carlo experiments and dominate
 the runtime of the whole suite.
@@ -9,7 +10,6 @@ the runtime of the whole suite.
 import itertools
 import math
 from contextlib import contextmanager
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,21 +23,15 @@ from graphonlab import (
     as_step_graphon,
     conditional_density,
     count_copies,
-    discretize,
-    dwh,
     hom_density,
     limit_law,
     mean_count,
     regularity_defect,
     run_experiment,
     sample_graph,
-    sigma_squared,
-    spec_minus,
-    spectrum,
     tau_squared,
-    two_point_graphon,
 )
-from conftest import random_step_graphon
+from conftest import CLOSED_FORMS, random_step_graphon
 from counting_oracles import copy_edge_sets, exhaustive_copy_count
 from limit_oracles import (
     average,
@@ -80,83 +74,13 @@ def criterion(request):
 
 
 # ---------------------------------------------------------------------------
-# exact constants
+# exact constants: the closed-form table that `graphonlab selftest` runs
 
 
-def test_two_point_kernel_on_two_block(criterion):
-    with criterion("two-point kernel of the 2-star on the two-block graphon"):
-        for p in (0.3, 0.5, 0.9):
-            WH = two_point_graphon(STAR2, as_step_graphon(KernelSpec.two_block_diagonal(p)))
-            target = 3 * p * p / 4
-            assert abs(WH.values[0, 0] - target) <= 1e-12
-            assert abs(WH.values[1, 1] - target) <= 1e-12
-            assert WH.values[0, 1] == 0.0
-            assert WH.values[1, 0] == 0.0
-
-
-def test_sigma_squared_two_star_two_block(criterion):
-    with criterion("sigma2 of the 2-star on the two-block graphon"):
-        for p in (0.3, 0.5, 0.9):
-            W = as_step_graphon(KernelSpec.two_block_diagonal(p))
-            assert abs(sigma_squared(STAR2, W) - p**3 * (1 - p) / 4) <= 1e-12
-        # dyadic p: every intermediate is exact in binary floating point
-        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
-        assert sigma_squared(STAR2, W) == 1 / 64
-
-
-def test_spectrum_and_degree_removal_two_block(criterion):
-    with criterion("spectrum of the derived two-block kernel and its reduction"):
-        for p in (0.3, 0.5, 0.9):
-            W = as_step_graphon(KernelSpec.two_block_diagonal(p))
-            spec = spectrum(two_point_graphon(STAR2, W))
-            target = 3 * p * p / 8
-            assert spec.eigenvalues.shape == (2,)
-            assert np.all(np.abs(spec.eigenvalues - target) <= 1e-10)
-            kept = spec_minus(spec, dwh(STAR2, W))
-            assert kept.shape == (1,)
-            assert abs(kept[0] - target) <= 1e-10
-
-
-def test_regularity_classifications(criterion):
-    with criterion("regularity defects: constants and two-block zero, product positive"):
-        const = as_step_graphon(KernelSpec.constant(0.45))
-        for H in (K2, STAR2, K3):
-            assert regularity_defect(H, const) <= 1e-10
-        wtilde = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
-        assert regularity_defect(STAR2, wtilde) <= 1e-10
-        product = discretize(KernelSpec.product(), 256)
-        assert regularity_defect(STAR2, product) > 1e-4
-
-
-def test_tau_squared_product_against_separable_oracle(criterion):
-    with criterion("tau2 of the 2-star on the discretized product kernel"):
-        # independent oracle: the self-joins of the 2-star are the 4-star,
-        # four center-leaf joins, and four leaf-leaf paths; in xy each vertex
-        # of degree d contributes the moment 1/(d+1)
-        oracle = (
-            Fraction(1, 5) * Fraction(1, 2) ** 4  # degrees 4,1,1,1,1
-            + 4 * Fraction(1, 4) * Fraction(1, 3) * Fraction(1, 2) ** 3  # 3,2,1,1,1
-            + 4 * Fraction(1, 3) ** 3 * Fraction(1, 2) ** 2  # 2,2,2,1,1
-            - 9 * (Fraction(1, 3) * Fraction(1, 2) ** 2) ** 2  # 9 t(2-star)^2
-        ) / 4
-        assert oracle == Fraction(31, 4320)
-        gap_256 = abs(tau_squared(STAR2, discretize(KernelSpec.product(), 256)) - float(oracle))
-        gap_512 = abs(tau_squared(STAR2, discretize(KernelSpec.product(), 512)) - float(oracle))
-        assert gap_256 <= 1e-3
-        assert gap_512 < gap_256
-
-
-def test_sigma_squared_triangle_constant(criterion):
-    with criterion("sigma2 of the triangle on constant kernels"):
-        for p in (0.2, 0.5):
-            W = as_step_graphon(KernelSpec.constant(p))
-            assert abs(sigma_squared(K3, W) - p**5 * (1 - p) / 2) <= 1e-12
-        # independent symbolic expansion at p = 1/2: nine ordered edge pairs,
-        # each weak join has 5 plain edges, each strong join 6 with the double
-        half = Fraction(1, 2)
-        symbolic = 2 * Fraction(9) * (half**5 - half**6) / Fraction(36)
-        W = as_step_graphon(KernelSpec.constant(0.5))
-        assert abs(sigma_squared(K3, W) - float(symbolic)) <= 1e-12
+@pytest.mark.parametrize("row", CLOSED_FORMS.values(), ids=list(CLOSED_FORMS))
+def test_closed_form(row, criterion):
+    with criterion(row.name):
+        assert row.holds(), f"{row.name}: expected {row.expected!r} within {row.tol!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +181,7 @@ def test_distributional_regular_case(criterion):
         )
         result = run_experiment(config)
         assert result.law.kind == "mixture"
-        limit_variance = 1 / 64 + 2 * (3 / 32) ** 2
+        limit_variance = result.law.variance
         assert result.ks < 0.08
         assert abs(result.empirical_variance - limit_variance) <= 0.25 * limit_variance
         assert result.mean_pass  # empirical mean of the raw count within 4 SE

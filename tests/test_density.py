@@ -2,12 +2,10 @@
 two-point conditional kernel."""
 
 import itertools
-import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import ZOO
+from conftest import ZOO, closed_form
 from limit_oracles import average, einsum_density
 
 from graphonlab import (
@@ -16,6 +14,7 @@ from graphonlab import (
     LabeledGraph,
     StepGraphon,
     as_step_graphon,
+    cli,
     conditional_density,
     discretize,
     hom_density,
@@ -31,30 +30,21 @@ STAR2 = LabeledGraph.star(2)
 CONST_HALF = as_step_graphon(KernelSpec.constant(0.5))
 
 
-def separable_density(F: LabeledGraph) -> float:
-    """Exact density of F in the product kernel xy: each vertex of degree d
-    contributes the moment 1/(d+1)."""
-    return float(np.prod([1.0 / (d + 1) for d in F.degrees()]))
-
-
 class TestHomDensity:
     def test_edge_in_constant(self):
-        assert hom_density(K2, as_step_graphon(KernelSpec.constant(0.3))) == pytest.approx(
-            0.3, abs=1e-15
-        )
+        assert closed_form("t of k2 on constant:0.3")
 
     def test_two_star_in_two_block(self):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(0.6))
-        assert hom_density(STAR2, W) == pytest.approx(0.36 / 4, abs=1e-15)
+        assert closed_form("t of star2 on two_block:0.5")
 
     def test_two_star_in_product(self):
-        W = discretize(KernelSpec.product(), 256)
-        assert hom_density(STAR2, W) == pytest.approx(1 / 12, abs=1e-5)
+        assert closed_form("t of star2 on product, m=256")
 
     @pytest.mark.parametrize("H", [K2, STAR2, K3, LabeledGraph.path(3), LabeledGraph.cycle(4)])
     def test_product_kernel_matches_separable_oracle(self, H):
         W = discretize(KernelSpec.product(), 256)
-        assert hom_density(H, W) == pytest.approx(separable_density(H), abs=1e-4)
+        exact = float(cli._product_density(H, 256))
+        assert hom_density(H, W) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(ZOO))
     def test_matches_einsum_oracle(self, graphon_suite, name):
@@ -71,13 +61,9 @@ class TestHomDensity:
 
     @pytest.mark.parametrize("name,m", [("k4", 64), ("wheel4", 64), ("k5", 64), ("k4", 256)])
     def test_pinned_patterns_match_exact_product_value(self, name, m):
-        # the cell averages of xy are c_i c_j with c_i the cell midpoints, so
-        # t(F, W) = prod_u sum_i pi_i c_i^(d_u), here in exact arithmetic
-        H = ZOO[name]
-        c = [Fraction(2 * i + 1, 2 * m) for i in range(m)]
-        exact = math.prod(sum(ci**d for ci in c) / m for d in H.degrees())
+        exact = float(cli._product_density(ZOO[name], m))
         W = discretize(KernelSpec.product(), m)
-        assert hom_density(H, W) == pytest.approx(float(exact), rel=1e-12)
+        assert hom_density(ZOO[name], W) == pytest.approx(exact, rel=1e-12)
 
     def test_multigraph_density_powers_the_kernel(self):
         # the oracle's strong-join densities: an edge of multiplicity 2 is W^2
@@ -180,12 +166,10 @@ class TestConditionalDensity:
 
 class TestMeanCount:
     def test_edge_in_constant(self):
-        assert mean_count(K2, as_step_graphon(KernelSpec.constant(0.4)), 3) == pytest.approx(
-            3 * 0.4, abs=1e-14
-        )
+        assert closed_form("mean count at n=3 of k2 on constant:0.3")
 
     def test_triangle_in_constant(self):
-        assert mean_count(K3, CONST_HALF, 4) == pytest.approx(4 * 0.5**3, abs=1e-14)
+        assert closed_form("mean count at n=4 of k3 on constant:0.5")
 
     def test_two_star_matches_binomial_form(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.7))
@@ -200,13 +184,11 @@ class TestMeanCount:
 
 class TestRegularity:
     def test_constant_kernel_is_regular_for_everything(self):
-        W = as_step_graphon(KernelSpec.constant(0.3))
-        for H in (K2, STAR2, K3):
-            assert regularity_defect(H, W) <= 1e-12
+        for case in ("k2 on constant:0.3", "star2 on constant:0.3", "k3 on constant:0.5"):
+            assert closed_form(f"defect and tau2 of {case}")
 
     def test_two_block_is_two_star_regular(self):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
-        assert regularity_defect(STAR2, W) <= 1e-12
+        assert closed_form("defect and tau2 of star2 on two_block:0.5")
 
     def test_product_is_not_two_star_regular(self):
         W = discretize(KernelSpec.product(), 64)
@@ -246,10 +228,7 @@ class TestTwoPointGraphon:
             assert np.allclose(WH.values, expected, atol=1e-13)
 
     def test_two_block_diagonal_values(self):
-        p = 0.5
-        WH = two_point_graphon(STAR2, as_step_graphon(KernelSpec.two_block_diagonal(p)))
-        assert WH.values[0, 0] == pytest.approx(3 * p**2 / 4, abs=1e-15)
-        assert WH.values[0, 1] == 0.0
+        assert closed_form("two-point kernel of star2 on two_block:0.5")
 
     def test_degree_identity(self, graphon_suite, small_patterns):
         # degree of the derived kernel = (v-1)/(2|Aut|) * sum of one-point conditionals

@@ -37,6 +37,15 @@ class TestStepGraphon:
         derived = StepGraphon(np.array([1.0]), np.array([[1.5]]))
         assert not derived.is_probability_kernel
 
+    @pytest.mark.parametrize("pi,B", [
+        ([math.nan, 1.0], [[0.5, 0.5], [0.5, 0.5]]),
+        ([0.5, 0.5], [[0.5, math.inf], [math.inf, 0.5]]),
+        ([1.0], [[-math.inf]]),
+    ], ids=["nan-weight", "inf-value", "minus-inf-value"])
+    def test_rejects_non_finite_input(self, pi, B):
+        with pytest.raises(ValueError, match="finite"):
+            StepGraphon(np.array(pi), np.array(B))
+
     def test_json_round_trip(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.4))
         back = StepGraphon.from_json_dict(W.to_json_dict())
@@ -180,6 +189,15 @@ class TestKernelSpec:
     )
     def test_json_round_trip(self, spec):
         assert KernelSpec.from_json_dict(spec.to_json_dict()) == spec
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "product", "p": 0.5}, {"kind": "constant", "p": "0.5"},
+        {"kind": "two_block", "p": True}, {"kind": "custom", "pi": 1, "B": 2},
+        {"kind": "custom", "pi": [1.0], "B": [["1"]]}, {"kind": ["custom"]}, [[0.5]],
+    ])
+    def test_json_refuses_what_it_would_change_or_ignore(self, data):
+        with pytest.raises(ValueError):
+            KernelSpec.from_json_dict(data)
 
     def test_as_step_graphon_exact_for_step_kinds(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5), m=999)

@@ -57,6 +57,15 @@ class TestConstruction:
         g = LabeledGraph.from_edges(4, [(1, 2), (2, 3), (1, 4)])
         assert LabeledGraph.from_json_dict(g.to_json_dict()) == g
 
+    @pytest.mark.parametrize("data", [
+        {"n": 3.9, "edges": [[1, 2.7]]}, {"n": 3.9, "edges": []}, {"n": 3, "edges": [[1, 2.7]]},
+        {"n": True, "edges": []}, {"n": "3", "edges": []}, {"n": 3, "edges": [], "name": "x"},
+        {"n": 3, "edges": [1]}, {"n": 3, "edges": [[1, 2, 3]]}, [1, 2],
+    ])
+    def test_json_refuses_what_it_would_change_or_ignore(self, data):
+        with pytest.raises(ValueError):
+            LabeledGraph.from_json_dict(data)
+
 
 class TestAutomorphisms:
     def test_triangle(self):

@@ -1,10 +1,10 @@
 """Limits module: the two variance constants, branch selection, sampling."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import closed_form
 from limit_oracles import (
     einsum_density,
     sigma_squared_by_joins,
@@ -19,7 +19,6 @@ from graphonlab import (
     LabeledGraph,
     LimitLaw,
     as_step_graphon,
-    automorphism_count,
     conditional_density,
     discretize,
     limit_law,
@@ -36,19 +35,6 @@ STAR2 = LabeledGraph.star(2)
 # degree-irregular two-block kernel: Gaussian branch for every pattern
 SKEWED = KernelSpec.custom((0.5, 0.5), [[0.4, 0.5], [0.5, 0.7]])
 
-# Density of the 2-star in xy, and of its self-joins, via per-vertex moments
-# 1/(deg+1): star-4, four center-leaf joins, four leaf-leaf paths.
-TAU_STAR2_PRODUCT = float(Fraction(1, 80) + Fraction(4, 108) + Fraction(4, 96) - Fraction(9, 144)) / 4
-
-
-# Patterns of 5 and 6 vertices with treewidth <= 2, which vertex elimination
-# contracts without pinning, quickly at large m.
-PATH4 = LabeledGraph.path(4)
-STAR4 = LabeledGraph.star(4)
-C5 = LabeledGraph.cycle(5)
-PATH5 = LabeledGraph.path(5)
-C6 = LabeledGraph.cycle(6)
-
 # Four-vertex patterns checked against the join sums on the product kernel.
 # K4's self-joins have treewidth 3 but the oracle's greedy einsum paths cost
 # k^7 on them (about 5 s per vertex join at m=16), so K4 is checked at m=8.
@@ -64,19 +50,6 @@ PRODUCT_ORACLE_CASES = pytest.mark.parametrize(
 )
 
 
-def tau_product_closed_form(H):
-    """tau2 of H in W(x,y) = xy, as a Fraction: the one-point conditional at
-    a is t (d_a + 1) x^(d_a) with t = prod_u 1/(d_u + 1), so
-    int t_a t_b = t^2 (d_a + 1)(d_b + 1) / (d_a + d_b + 1)."""
-    d = H.degrees()
-    v = H.vertex_count
-    t = Fraction(1)
-    for du in d:
-        t /= du + 1
-    total = sum(t * t * (da + 1) * (db + 1) / Fraction(da + db + 1) for da in d for db in d)
-    return (total - v * v * t * t) / automorphism_count(H) ** 2
-
-
 def matches_oracle(value, oracle):
     # the abs floor only covers kernels where the constant vanishes and
     # either side rounds to a few ulps around zero
@@ -85,17 +58,15 @@ def matches_oracle(value, oracle):
 
 class TestTauSquared:
     def test_constant_kernel_gives_zero(self):
-        W = as_step_graphon(KernelSpec.constant(0.3))
-        for H in (K2, STAR2, K3):
-            assert tau_squared(H, W) == 0.0
+        for case in ("k2 on constant:0.3", "star2 on constant:0.3", "k3 on constant:0.5"):
+            assert closed_form(f"defect and tau2 of {case}")
 
     def test_two_block_is_two_star_regular(self):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(0.4))
-        assert tau_squared(STAR2, W) == 0.0
+        assert closed_form("defect and tau2 of star2 on two_block:0.5")
 
     def test_product_kernel_matches_separable_value(self):
-        W = discretize(KernelSpec.product(), 256)
-        assert tau_squared(STAR2, W) == pytest.approx(TAU_STAR2_PRODUCT, abs=1e-3)
+        assert closed_form("tau2 of star2 in xy is 31/4320")
+        assert closed_form("tau2 of star2 on product, m=256 and 512")
 
     def test_edge_pattern_is_degree_variance(self, graphon_suite):
         for W in graphon_suite[:8]:
@@ -135,26 +106,20 @@ class TestTauSquared:
                 regular = regularity_defect(H, W) <= 1e-10
                 assert (tau_squared(H, W) <= 1e-10) == regular
 
-    @pytest.mark.parametrize("H", [PATH4, STAR4, C5], ids=["path4", "star4", "c5"])
-    def test_five_vertex_patterns_on_product(self, H):
+    @pytest.mark.parametrize("name", ["path4", "star4", "cycle5"], ids=["path4", "star4", "c5"])
+    def test_five_vertex_patterns_on_product(self, name):
         # no join is built, so patterns whose self-joins pass 8 vertices work
-        target = float(tau_product_closed_form(H))
-        gap_256 = abs(tau_squared(H, discretize(KernelSpec.product(), 256)) - target)
-        gap_512 = abs(tau_squared(H, discretize(KernelSpec.product(), 512)) - target)
-        assert gap_256 <= 1e-4 * target
-        assert gap_512 < gap_256
+        assert closed_form(f"tau2 of {name} on product, m=256 and 512")
 
 
 class TestSigmaSquared:
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.9])
     def test_two_star_on_two_block(self, p):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(p))
-        assert sigma_squared(STAR2, W) == pytest.approx(p**3 * (1 - p) / 4, abs=1e-15)
+        assert closed_form(f"sigma2 of star2 on two_block:{p}")
 
     @pytest.mark.parametrize("p", [0.2, 0.5])
     def test_triangle_on_constant(self, p):
-        W = as_step_graphon(KernelSpec.constant(p))
-        assert sigma_squared(K3, W) == pytest.approx(p**5 * (1 - p) / 2, abs=1e-15)
+        assert closed_form(f"sigma2 of k3 on constant:{p}")
 
     def test_zero_one_valued_kernel_gives_zero(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(1.0))
@@ -176,13 +141,10 @@ class TestSigmaSquared:
         W = discretize(KernelSpec.product(), m)
         assert matches_oracle(sigma_squared(H, W), sigma_squared_by_joins(H, W))
 
-    @pytest.mark.parametrize("H", [PATH5, C6], ids=["path5", "c6"])
+    @pytest.mark.parametrize("name", ["path5", "cycle6"], ids=["path5", "c6"])
     @pytest.mark.parametrize("p", [0.3, 0.7])
-    def test_six_vertex_patterns_on_constant(self, H, p):
-        e = H.edge_count
-        target = 2 * e * e * p ** (2 * e - 1) * (1 - p) / automorphism_count(H) ** 2
-        W = as_step_graphon(KernelSpec.constant(p))
-        assert sigma_squared(H, W) == pytest.approx(target, rel=1e-12)
+    def test_six_vertex_patterns_on_constant(self, name, p):
+        assert closed_form(f"sigma2 of {name} on constant:{p}")
 
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
@@ -195,24 +157,21 @@ class TestLimitLaw:
         law = limit_law(STAR2, W)
         assert law.kind == "gaussian"
         assert law.scale_exponent == 2.5
-        assert law.tau2 == pytest.approx(TAU_STAR2_PRODUCT, abs=1e-3)
+        assert closed_form("limit law of star2 on product, m=64")
 
     def test_mixture_branch_for_two_block(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
         law = limit_law(STAR2, W)
         assert law.kind == "mixture"
         assert law.scale_exponent == 2.0
-        assert law.sigma2 == pytest.approx(1 / 64, abs=1e-15)
         assert len(law.lambdas) == 1
-        assert law.lambdas[0] == pytest.approx(3 / 32, abs=1e-10)
-        assert law.variance == pytest.approx(1 / 64 + 2 * (3 / 32) ** 2, abs=1e-10)
+        assert closed_form("limit law of star2 on two_block:0.5")
 
     def test_triangle_on_constant_has_empty_mixture_spectrum(self):
-        p = 0.4
-        law = limit_law(K3, as_step_graphon(KernelSpec.constant(p)))
+        law = limit_law(K3, as_step_graphon(KernelSpec.constant(0.5)))
         assert law.kind == "mixture"
         assert law.lambdas == ()
-        assert law.sigma2 == pytest.approx(p**5 * (1 - p) / 2, abs=1e-14)
+        assert closed_form("limit law of k3 on constant:0.5")
 
     def test_degenerate_kernels_raise(self):
         with pytest.raises(DegenerateGraphonError):

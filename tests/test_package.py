@@ -2,8 +2,12 @@
 in the test oracles, and the one contraction engine."""
 
 import importlib
+import inspect
+import os
 import pkgutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from conftest import ZOO
@@ -13,12 +17,15 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     as_step_graphon,
+    automorphism_count,
     cli,
     conditional_density,
     count_copies,
     discretize,
     hom_density,
     limit_law,
+    spec_minus,
+    spectrum,
 )
 
 PUBLIC_NAMES = [
@@ -98,3 +105,23 @@ def test_package_never_calls_einsum(monkeypatch, capsys):
     assert code == 0
     assert "refined_t = " in capsys.readouterr().out
     assert np.einsum is not refuse
+
+
+def test_only_the_regularity_tolerance_is_a_parameter():
+    # truncation, degree matching and the automorphism bound are module
+    # constants; regularity_tol is set by configs
+    assert list(inspect.signature(limit_law).parameters) == ["H", "W", "regularity_tol"]
+    assert list(inspect.signature(spectrum).parameters) == ["kernel"]
+    assert list(inspect.signature(spec_minus).parameters) == ["spec", "degree_value"]
+    assert list(inspect.signature(automorphism_count).parameters) == ["H"]
+
+
+def test_plain_pytest_finds_the_sources():
+    root = Path(__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests/test_package.py"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -13,11 +13,15 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     LimitLaw,
+    as_step_graphon,
     ks_distance,
+    limit_law,
     run_experiment,
     sample_limit,
+    spectrum,
+    two_point_graphon,
 )
-from graphonlab import graphon, simulate
+from graphonlab import cli, graphon, simulate
 from graphonlab.cli import main
 from graphonlab.simulate import _sample_variance, replicate_seed
 
@@ -146,6 +150,22 @@ class TestConfig:
             ExperimentConfig.from_json_dict(data)
 
     @pytest.mark.parametrize(
+        "key,value",
+        [("n", 60.9), ("master_seed", True), ("replicates", "6"), ("ks_treshold", 0.5),
+         ("variance_band", 10**400)],
+    )
+    def test_rejects_fields_it_would_change_or_ignore(self, key, value):
+        data = small_config().to_json_dict()
+        data[key] = value
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json_dict(data)
+
+    def test_accepts_integral_floats(self):
+        data = small_config().to_json_dict()
+        data.update(n=40.0, master_seed=71.0)
+        assert ExperimentConfig.from_json_dict(data) == small_config()
+
+    @pytest.mark.parametrize(
         "name", ["quick_smoke", "two_star_product", "two_star_two_block"]
     )
     def test_shipped_configs_load(self, name):
@@ -244,8 +264,9 @@ class TestCli:
         code = main(["constants", "--pattern", "star2", "--kernel", "two_block:0.5"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "sigma2 = 0.015625" in out
-        assert "spec_minus = [0.09375" in out
+        law = limit_law(STAR2, as_step_graphon(KernelSpec.two_block_diagonal(0.5)))
+        assert f"sigma2 = {law.sigma2!r}" in out
+        assert f"spec_minus = {list(law.lambdas)!r}" in out
 
     @pytest.mark.parametrize(
         "argv",
@@ -307,8 +328,32 @@ class TestCli:
     def test_spectrum_json(self, capsys):
         assert main(["spectrum", "--kernel", "two_block:0.5", "--pattern", "star2"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert np.allclose(sorted(data["eigenvalues"]), 3 * 0.25 / 8, atol=1e-10)
+        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
+        assert data == spectrum(two_point_graphon(STAR2, W)).to_json_dict()
         assert data["pi"] == [0.5, 0.5]
+
+    @pytest.mark.parametrize("option,data", [
+        ("pattern", {"n": 3, "edges": [1]}),
+        ("pattern", [1, 2]),
+        ("kernel", {"pi": 1, "B": 2}),
+        ("kernel", [[0.5]]),
+        ("kernel", {"pi": [math.nan, 1.0], "B": [[0.5, 0.5], [0.5, 0.5]]}),
+        ("config", [1]),
+        ("config", dict(small_config().to_json_dict(), pattern=[1])),
+    ], ids=["edge-not-a-pair", "pattern-list", "kernel-scalars", "kernel-list",
+            "kernel-nan-weight", "config-list", "config-pattern-list"])
+    def test_malformed_json_exits_2(self, option, data, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = {
+            "pattern": ["density", "--pattern", str(path), "--kernel", "constant:0.5"],
+            "kernel": ["constants", "--pattern", "k2", "--kernel", f"custom:{path}"],
+            "config": ["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
+        }[option]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_pattern_file_loading(self, tmp_path, capsys):
         pattern_path = tmp_path / "k2.json"
@@ -351,4 +396,15 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("ok - ") >= 10
+        rows = len(cli._closed_forms())
+        assert out.count("ok - ") == rows >= 18
+        assert out.endswith(f"PASS: {rows} ok, 0 failed\n")
+
+    def test_selftest_fails_on_a_wrong_expected_value(self, monkeypatch, capsys):
+        row = next(r for r in cli._closed_forms() if r.name == "sigma2 of star2 on two_block:0.5")
+        wrong = row._replace(expected=np.nextafter(row.expected, 1.0))
+        assert row.holds() and not wrong.holds()
+        monkeypatch.setattr(cli, "_closed_forms", lambda: [row, wrong])
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(f"FAIL - {row.name}\nFAIL: 1 ok, 1 failed\n")

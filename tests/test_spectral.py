@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import closed_form
 
 from graphonlab import (
     KernelSpec,
@@ -15,8 +16,6 @@ from graphonlab import (
     two_point_graphon,
 )
 
-K2 = LabeledGraph.complete(2)
-K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
 
 
@@ -32,11 +31,10 @@ class TestSpectrum:
         assert spec.eigenvalues[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_two_point_kernel_of_two_block(self):
-        p = 0.5
-        W = as_step_graphon(KernelSpec.two_block_diagonal(p))
+        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
         WH = two_point_graphon(STAR2, W)
         spec = spectrum(WH)
-        assert np.allclose(np.sort(spec.eigenvalues), 3 * p**2 / 8, atol=1e-12)
+        assert closed_form("spectrum of the two-point kernel of star2 on two_block:0.5")
         # the eigenvalue is degenerate, so the basis is free; what is pinned
         # down is orthonormality and the residual
         gram = (spec.eigenvectors * spec.block_weights[None, :]) @ spec.eigenvectors.T
@@ -88,18 +86,13 @@ class TestSpectrum:
 
 class TestDegreeEigenvalue:
     def test_two_star_on_two_block(self):
-        p = 0.7
-        W = as_step_graphon(KernelSpec.two_block_diagonal(p))
-        assert dwh(STAR2, W) == pytest.approx(3 * p**2 / 8, abs=1e-14)
+        assert closed_form("d_wh of star2 on two_block:0.9")
 
     def test_edge_on_constant(self):
-        assert dwh(K2, as_step_graphon(KernelSpec.constant(0.3))) == pytest.approx(0.15, abs=1e-15)
+        assert closed_form("d_wh of k2 on constant:0.3")
 
     def test_triangle_on_constant(self):
-        p = 0.5
-        assert dwh(K3, as_step_graphon(KernelSpec.constant(p))) == pytest.approx(
-            p**3 / 2, abs=1e-15
-        )
+        assert closed_form("d_wh of k3 on constant:0.5")
 
     def test_constant_function_is_eigenfunction_when_regular(self, small_patterns):
         # T 1 = d 1 blockwise for regular kernels
@@ -112,12 +105,13 @@ class TestDegreeEigenvalue:
 
 class TestSpecMinus:
     def test_removes_one_copy(self):
-        p = 0.5
-        W = as_step_graphon(KernelSpec.two_block_diagonal(p))
+        # on the two-block kernel the degree eigenvalue is doubled, so one
+        # copy of it stays
+        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
         spec = spectrum(two_point_graphon(STAR2, W))
         kept = spec_minus(spec, dwh(STAR2, W))
         assert kept.shape == (1,)
-        assert kept[0] == pytest.approx(3 * p**2 / 8, abs=1e-10)
+        assert kept[0] == pytest.approx(dwh(STAR2, W), abs=1e-10)
 
     def test_rank_one_becomes_empty(self):
         spec = spectrum(as_step_graphon(KernelSpec.constant(0.4)))
