@@ -5,16 +5,7 @@ constants for centered subgraph counts, a reproducible sampler, and a Monte
 Carlo verification harness.
 """
 
-from .density import (
-    DegenerateGraphonError,
-    REGULARITY_TOL,
-    conditional_density,
-    hom_density,
-    is_regular,
-    mean_count,
-    regularity_defect,
-    two_point_graphon,
-)
+from .density import conditional_density, hom_density, mean_count, two_point_graphon
 from .graphon import (
     DEFAULT_DISCRETIZATION,
     KernelSpec,
@@ -28,7 +19,17 @@ from .graphs import (
     count_copies,
     count_injective_homomorphisms,
 )
-from .limits import LimitLaw, limit_law, sample_limit, sigma_squared, tau_squared
+from .limits import (
+    REGULARITY_TOL,
+    DegenerateGraphonError,
+    LimitLaw,
+    dwh,
+    limit_law,
+    regularity_defect,
+    sample_limit,
+    sigma_squared,
+    tau_squared,
+)
 from .sampler import SampleRecord, normalized_statistic, sample_graph
 from .simulate import (
     ExperimentConfig,
@@ -36,7 +37,7 @@ from .simulate import (
     ks_distance,
     run_experiment,
 )
-from .spectral import Spectrum, dwh, spec_minus, spectrum
+from .spectral import Spectrum, spec_minus, spectrum
 
 __version__ = "0.1.0"
 
@@ -60,7 +61,6 @@ __all__ = [
     "discretize",
     "dwh",
     "hom_density",
-    "is_regular",
     "ks_distance",
     "limit_law",
     "mean_count",

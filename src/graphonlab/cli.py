@@ -17,16 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .density import (
-    DegenerateGraphonError,
-    REGULARITY_TOL,
-    _defect,
-    _density_and_one_point_sum,
-    hom_density,
-    mean_count,
-    regularity_defect,
-    two_point_graphon,
-)
+from .density import hom_density, mean_count, two_point_graphon
 from .graphon import (
     DEFAULT_DISCRETIZATION,
     KIND_PRODUCT,
@@ -36,10 +27,19 @@ from .graphon import (
     discretize,
 )
 from .graphs import LabeledGraph, automorphism_count, count_copies
-from .limits import _tau_squared_of, limit_law, sigma_squared, tau_squared
+from .limits import (
+    REGULARITY_TOL,
+    DegenerateGraphonError,
+    _first_order,
+    dwh,
+    limit_law,
+    regularity_defect,
+    sigma_squared,
+    tau_squared,
+)
 from .sampler import sample_graph
 from .simulate import ExperimentConfig, run_experiment
-from .spectral import _degree_value, dwh, spec_minus, spectrum
+from .spectral import spec_minus, spectrum
 
 _BUILTIN_PATTERN = re.compile(r"^(k|star|path|cycle)(\d+)$")
 
@@ -108,11 +108,9 @@ def _cmd_regularity(args) -> int:
 
 def _constants_lines(H: LabeledGraph, W: StepGraphon, tol: float, prefix: str = "") -> list[str]:
     """The constants block of one (H, W), every value computed before any is
-    printed; t(H, W) and the one-point sum S are computed once."""
-    t, S = _density_and_one_point_sum(H, W)
-    regular = _defect(H, t, S) <= tol
-    d_wh = _degree_value(H, t)
-    tau2 = _tau_squared_of(H, W, S)
+    printed."""
+    t, defect, tau2, d_wh = _first_order(H, W)
+    regular = defect <= tol
     sigma2 = sigma_squared(H, W)
     if regular:
         lambdas = spec_minus(spectrum(two_point_graphon(H, W)), d_wh)

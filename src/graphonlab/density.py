@@ -17,18 +17,6 @@ import numpy as np
 from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph, _eliminate, automorphism_count
 from .graphon import StepGraphon
 
-# A step computation is declared regular when the defect is at most this.
-REGULARITY_TOL = 1e-10
-
-
-class DegenerateGraphonError(ValueError):
-    """The pair (H, W) pins the subgraph count almost surely: W is the
-    all-ones kernel, or H has zero density in W."""
-
-    def __init__(self, reason: str, message: str) -> None:
-        self.reason = reason
-        super().__init__(message)
-
 
 def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> np.ndarray:
     """Vertex elimination with the block weights on the unmarked vertices,
@@ -63,15 +51,6 @@ def conditional_density(H: LabeledGraph, marks, W: StepGraphon) -> np.ndarray:
     return _contract(H, W, marks=mk)
 
 
-def _one_point_sum(H: LabeledGraph, W: StepGraphon) -> np.ndarray:
-    """S = sum over the vertices a of H of the one-point conditional
-    densities t_a, one value per block, summed in vertex order."""
-    total = np.zeros(W.block_count)
-    for a in range(1, H.vertex_count + 1):
-        total += conditional_density(H, (a,), W)
-    return total
-
-
 def mean_count(H: LabeledGraph, W: StepGraphon, n: int) -> float:
     """Expected number of copies of H in a W-random graph on n vertices:
     (n)_{|V(H)|} / |Aut(H)| * t(H, W)."""
@@ -79,40 +58,6 @@ def mean_count(H: LabeledGraph, W: StepGraphon, n: int) -> float:
     if n < v:
         raise ValueError(f"need n >= {v}, got {n}")
     return math.perm(n, v) / automorphism_count(H) * hom_density(H, W)
-
-
-def _density_and_one_point_sum(H: LabeledGraph, W: StepGraphon) -> tuple[float, np.ndarray]:
-    """t(H, W) and S = sum_a t_a, after the degenerate-kernel checks; the
-    regularity defect, tau2 and d_wh of one (H, W) all derive from these."""
-    if not W.is_probability_kernel:
-        raise ValueError("regularity is defined for kernels with values in [0,1]")
-    if np.all(W.values == 1.0):
-        raise DegenerateGraphonError("complete", "kernel is identically 1; count is a.s. constant")
-    t = hom_density(H, W)
-    if t == 0.0:
-        raise DegenerateGraphonError(
-            "pattern_free", "pattern has zero density in the kernel; count is a.s. 0"
-        )
-    return t, _one_point_sum(H, W)
-
-
-def _defect(H: LabeledGraph, t: float, S: np.ndarray) -> float:
-    return float(np.max(np.abs(S / H.vertex_count - t)))
-
-
-def regularity_defect(H: LabeledGraph, W: StepGraphon) -> float:
-    """Sup-norm distance between the vertex-averaged 1-point conditional
-    density and the plain density t(H, W).
-
-    Zero defect is the regularity that switches the limit law to the
-    chi-square-mixture branch. Raises DegenerateGraphonError for the
-    all-ones kernel and for H-free kernels.
-    """
-    return _defect(H, *_density_and_one_point_sum(H, W))
-
-
-def is_regular(H: LabeledGraph, W: StepGraphon, tol: float = REGULARITY_TOL) -> bool:
-    return regularity_defect(H, W) <= tol
 
 
 def two_point_graphon(H: LabeledGraph, W: StepGraphon) -> StepGraphon:

@@ -96,13 +96,6 @@ class StepGraphon:
         """Block-constant degree function: d_i = sum_j pi_j B_ij."""
         return self.values @ self.block_weights
 
-    def to_json_dict(self) -> dict:
-        return {"pi": self.block_weights.tolist(), "B": self.values.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "StepGraphon":
-        return cls(np.asarray(data["pi"], dtype=float), np.asarray(data["B"], dtype=float))
-
 
 @dataclass(frozen=True)
 class KernelSpec:

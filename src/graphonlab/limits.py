@@ -16,29 +16,27 @@ conditional densities of H itself, with no pattern glued to itself:
 
 over the vertices a and the sorted edges (a, b) of H, with t_{H-ab} the
 two-point conditional density of H minus that edge, a at x and b at y.
+S is the first Hoeffding projection of the count: W is H-regular exactly
+when it is constant, and t(H,W), the regularity defect, tau2 and the degree
+d_wh of the two-point kernel all derive from the pair (t, S).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
-from .density import (
-    REGULARITY_TOL,
-    _defect,
-    _density_and_one_point_sum,
-    _one_point_sum,
-    conditional_density,
-    two_point_graphon,
-)
+from .density import conditional_density, hom_density, two_point_graphon
 from .graphon import StepGraphon
 from .graphs import LabeledGraph, automorphism_count
-from .spectral import _degree_value, spec_minus, spectrum
+from .spectral import spec_minus, spectrum
 
 GAUSSIAN = "gaussian"
 MIXTURE = "mixture"
+
+# A step computation is declared regular when the defect is at most this.
+REGULARITY_TOL = 1e-10
 
 # Variance formulas are nonnegative; rounding this far below zero is clamped,
 # anything worse is treated as a bug.
@@ -46,6 +44,15 @@ VARIANCE_CLAMP_TOL = 1e-10
 
 # Normal draws per step of a chi-square term in sample_limit.
 _DRAW_CHUNK = 4096
+
+
+class DegenerateGraphonError(ValueError):
+    """The pair (H, W) pins the subgraph count almost surely: W is the
+    all-ones kernel, or H has zero density in W."""
+
+    def __init__(self, reason: str, message: str) -> None:
+        self.reason = reason
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -99,17 +106,6 @@ class LimitLaw:
             "scale_exponent": self.scale_exponent,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LimitLaw":
-        if data["kind"] == GAUSSIAN:
-            return cls(GAUSSIAN, float(data["scale_exponent"]), tau2=float(data["tau2"]))
-        return cls(
-            MIXTURE,
-            float(data["scale_exponent"]),
-            sigma2=float(data["sigma2"]),
-            lambdas=tuple(float(x) for x in data["lambdas"]),
-        )
-
 
 def _clamp_variance(raw: float, name: str) -> float:
     if raw < 0.0:
@@ -119,6 +115,42 @@ def _clamp_variance(raw: float, name: str) -> float:
     return raw
 
 
+def _first_order(H: LabeledGraph, W: StepGraphon) -> tuple[float, float, float, float]:
+    """t(H, W), the regularity defect, tau2 and d_wh of one (H, W), all from
+    t and the one-point sum S = sum_a t_a, summed in vertex order.
+
+    Raises ValueError for kernels with values outside [0,1], and
+    DegenerateGraphonError for the all-ones kernel and for H-free kernels.
+    """
+    if not W.is_probability_kernel:
+        raise ValueError("regularity is defined for kernels with values in [0,1]")
+    if np.all(W.values == 1.0):
+        raise DegenerateGraphonError("complete", "kernel is identically 1; count is a.s. constant")
+    t = hom_density(H, W)
+    if t == 0.0:
+        raise DegenerateGraphonError(
+            "pattern_free", "pattern has zero density in the kernel; count is a.s. 0"
+        )
+    v, aut = H.vertex_count, automorphism_count(H)
+    S = sum(conditional_density(H, (a,), W) for a in range(1, v + 1))
+    defect = float(np.max(np.abs(S / v - t)))
+    centered = S - float(W.block_weights @ S)
+    tau2 = float(W.block_weights @ centered**2) / (aut * aut)
+    return t, defect, tau2, v * (v - 1) / (2 * aut) * t
+
+
+def regularity_defect(H: LabeledGraph, W: StepGraphon) -> float:
+    """Sup-norm distance between the vertex-averaged 1-point conditional
+    density S / v and the plain density t(H, W).
+
+    Zero defect is the regularity that switches the limit law to the
+    chi-square-mixture branch. Raises DegenerateGraphonError for the
+    all-ones kernel and for H-free kernels, and ValueError for values
+    outside [0,1]; tau_squared, dwh and limit_law refuse the same inputs.
+    """
+    return _first_order(H, W)[1]
+
+
 def tau_squared(H: LabeledGraph, W: StepGraphon) -> float:
     """Gaussian-branch variance: the variance of S = sum_a t_a, the summed
     one-point conditional densities (mean v t(H,W)), over |Aut(H)|^2. Since
@@ -126,14 +158,17 @@ def tau_squared(H: LabeledGraph, W: StepGraphon) -> float:
     sum of those over ordered vertex pairs minus v^2 t^2, over |Aut(H)|^2;
     centered, it is a sum of squares, exactly 0 when S is constant.
     """
-    return _tau_squared_of(H, W, _one_point_sum(H, W))
+    return _first_order(H, W)[2]
 
 
-def _tau_squared_of(H: LabeledGraph, W: StepGraphon, S: np.ndarray) -> float:
-    """tau2 from a known one-point sum S, which is left unchanged."""
-    centered = S - float(W.block_weights @ S)
-    aut = automorphism_count(H)
-    return float(W.block_weights @ centered**2) / (aut * aut)
+def dwh(H: LabeledGraph, W: StepGraphon) -> float:
+    """Degree value of the two-point conditional kernel of H in W:
+    |V(H)| (|V(H)|-1) / (2 |Aut(H)|) * t(H, W).
+
+    Equals the constant degree of that kernel when W is H-regular; for
+    non-regular W the number is still computed but is advisory only.
+    """
+    return _first_order(H, W)[3]
 
 
 def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
@@ -155,17 +190,12 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
 
 
 def limit_law(H: LabeledGraph, W: StepGraphon, regularity_tol: float = REGULARITY_TOL) -> LimitLaw:
-    """Decide the branch from the regularity defect and assemble the law.
-
-    t(H, W) and the one-point sum S are computed once: the defect, tau2
-    and d_wh all derive from them. Raises DegenerateGraphonError for the
-    all-ones kernel and for H-free kernels.
-    """
-    t, S = _density_and_one_point_sum(H, W)
+    """Decide the branch from the regularity defect and assemble the law."""
+    _, defect, tau2, d_wh = _first_order(H, W)
     v = H.vertex_count
-    if _defect(H, t, S) > regularity_tol:
-        return LimitLaw.gaussian(_tau_squared_of(H, W, S), v)
-    lambdas = spec_minus(spectrum(two_point_graphon(H, W)), _degree_value(H, t))
+    if defect > regularity_tol:
+        return LimitLaw.gaussian(tau2, v)
+    lambdas = spec_minus(spectrum(two_point_graphon(H, W)), d_wh)
     return LimitLaw.mixture(sigma_squared(H, W), lambdas.tolist(), v)
 
 

@@ -17,7 +17,6 @@ from .limits import LimitLaw
 class SampleRecord:
     """One Monte Carlo replicate: the raw copy count and its normalization."""
 
-    n: int
     seed: int
     raw_count: int
     normalized: float
@@ -61,7 +60,7 @@ def _record(H: LabeledGraph, n: int, seed: int, raw: int, mu: float, law: LimitL
     if raw > math.perm(n, H.vertex_count) // H.counting_plan.automorphisms:
         raise RuntimeError("copy count exceeds the complete-graph bound; counting bug")
     normalized = (raw - mu) / float(n) ** law.scale_exponent
-    return SampleRecord(n=n, seed=seed, raw_count=raw, normalized=normalized)
+    return SampleRecord(seed=seed, raw_count=raw, normalized=normalized)
 
 
 def normalized_statistic(

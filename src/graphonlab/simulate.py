@@ -20,11 +20,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .density import REGULARITY_TOL, mean_count
+from .density import mean_count
 from .graphon import DEFAULT_DISCRETIZATION, KernelSpec, StepGraphon, as_step_graphon
 from .graphon import _json_int, _json_real
-from .graphs import LabeledGraph
-from .limits import LimitLaw, limit_law, sample_limit
+from .graphs import EXACT_COUNT_BOUND, LabeledGraph
+from .limits import REGULARITY_TOL, LimitLaw, limit_law, sample_limit
 from .sampler import SampleRecord, _record, count_copies, sample_adjacency
 
 SCHEMA_VERSION = 1
@@ -101,6 +101,11 @@ class ExperimentConfig:
             raise ValueError("replicates must be >= 1")
         if self.n < self.pattern.vertex_count:
             raise ValueError("n must be at least the pattern size")
+        if self.n**self.pattern.vertex_count >= EXACT_COUNT_BOUND:
+            raise ValueError(
+                f"n = {self.n} to the power {self.pattern.vertex_count} reaches 2^53: "
+                "copy counts would no longer be exact"
+            )
         if self.reference_draws < 1_000:
             raise ValueError("reference_draws must be >= 1000")
         if self.master_seed < 0:
@@ -250,12 +255,16 @@ def _count_chunk(args) -> list[int]:
 
 
 def _worker_count(replicates: int) -> int:
+    """GRAPHONLAB_THREADS (default 1), capped at one worker per replicate and
+    per CPU this process may run on."""
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         workers = int(raw)
     except ValueError:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(1, min(workers, replicates))
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {raw!r}")
+    return min(workers, replicates, len(os.sched_getaffinity(0)))
 
 
 def _replicate_counts(

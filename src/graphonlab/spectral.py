@@ -9,13 +9,10 @@ orthonormal in the pi-weighted inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .density import hom_density
 from .graphon import StepGraphon
-from .graphs import LabeledGraph, automorphism_count
 
 # Eigenvalues at or below this magnitude are treated as zero.
 EIGENVALUE_TRUNCATION_TOL = 1e-10
@@ -54,14 +51,6 @@ class Spectrum:
             "pi": self.block_weights.tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Spectrum":
-        return cls(
-            np.asarray(data["eigenvalues"], dtype=float),
-            np.asarray(data["eigenvectors"], dtype=float),
-            np.asarray(data["pi"], dtype=float),
-        )
-
 
 def spectrum(kernel: StepGraphon) -> Spectrum:
     """Nonzero spectrum of the integral operator of a symmetric step kernel;
@@ -76,22 +65,6 @@ def spectrum(kernel: StepGraphon) -> Spectrum:
     phi = phi[:, keep]
     order = np.argsort(-eigvals, kind="stable")
     return Spectrum(eigvals[order], phi[:, order].T.copy(), pi)
-
-
-def dwh(H: LabeledGraph, W: StepGraphon) -> float:
-    """Degree value of the two-point conditional kernel of H in W:
-    |V(H)| (|V(H)|-1) / (2 |Aut(H)|) * t(H, W).
-
-    Equals the constant degree of that kernel when W is H-regular; for
-    non-regular W the number is still computed but is advisory only.
-    """
-    return _degree_value(H, hom_density(H, W))
-
-
-def _degree_value(H: LabeledGraph, t: float) -> float:
-    """dwh for a known density t = t(H, W)."""
-    v = H.vertex_count
-    return v * (v - 1) / (2 * automorphism_count(H)) * t
 
 
 def spec_minus(spec: Spectrum, degree_value: float) -> np.ndarray:

@@ -46,12 +46,6 @@ class TestStepGraphon:
         with pytest.raises(ValueError, match="finite"):
             StepGraphon(np.array(pi), np.array(B))
 
-    def test_json_round_trip(self):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(0.4))
-        back = StepGraphon.from_json_dict(W.to_json_dict())
-        assert np.array_equal(back.values, W.values)
-        assert np.array_equal(back.block_weights, W.block_weights)
-
 
 class TestEvaluate:
     def test_constant_everywhere(self):

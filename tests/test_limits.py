@@ -12,7 +12,7 @@ from limit_oracles import (
     vertex_join,
 )
 
-from graphonlab import cli, density, limits
+from graphonlab import cli, density
 from graphonlab import (
     DegenerateGraphonError,
     KernelSpec,
@@ -21,19 +21,18 @@ from graphonlab import (
     as_step_graphon,
     conditional_density,
     discretize,
+    dwh,
     limit_law,
     regularity_defect,
     sample_limit,
     sigma_squared,
     tau_squared,
+    two_point_graphon,
 )
 
 K2 = LabeledGraph.complete(2)
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
-
-# degree-irregular two-block kernel: Gaussian branch for every pattern
-SKEWED = KernelSpec.custom((0.5, 0.5), [[0.4, 0.5], [0.5, 0.7]])
 
 # Four-vertex patterns checked against the join sums on the product kernel.
 # K4's self-joins have treewidth 3 but the oracle's greedy einsum paths cost
@@ -179,18 +178,28 @@ class TestLimitLaw:
         with pytest.raises(DegenerateGraphonError):
             limit_law(K3, as_step_graphon(KernelSpec.two_block_diagonal(0.0)))
 
-    def test_json_round_trip(self):
-        for law in (
-            LimitLaw.gaussian(0.25, 3),
-            LimitLaw.mixture(1 / 64, (3 / 32,), 3),
-        ):
-            assert LimitLaw.from_json_dict(law.to_json_dict()) == law
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LimitLaw.gaussian(-1.0, 3)
         with pytest.raises(ValueError):
             LimitLaw("nope", 2.0)
+
+
+@pytest.mark.parametrize("H,W,error", [
+    (K3, as_step_graphon(KernelSpec.constant(1.0)), DegenerateGraphonError),
+    (K3, as_step_graphon(KernelSpec.custom((0.5, 0.5), [[0.0, 1.0], [1.0, 0.0]])),
+     DegenerateGraphonError),
+    # the two-point kernel of the 5-edge path on constant:0.9 is 7.5 * 0.9^5
+    (STAR2, two_point_graphon(LabeledGraph.path(5), as_step_graphon(KernelSpec.constant(0.9))),
+     ValueError),
+], ids=["all-ones", "pattern-free", "values-above-1"])
+def test_first_order_constants_refuse_the_same_kernels(H, W, error):
+    refusals = []
+    for constant in (regularity_defect, tau_squared, dwh, limit_law):
+        with pytest.raises(error) as info:
+            constant(H, W)
+        refusals.append((type(info.value), str(info.value), getattr(info.value, "reason", None)))
+    assert refusals.count(refusals[0]) == 4
 
 
 # Patterns whose contraction counts pin the sharing of t(H, W) and S.
@@ -214,21 +223,6 @@ def contractions(monkeypatch):
 
     monkeypatch.setattr(density, "_contract", spy)
     return calls
-
-
-def watch_shared_sums(monkeypatch, module):
-    """Record each S that `module` takes from the shared helper, with a copy
-    made when it was handed out."""
-    handed_out = []
-    original = density._density_and_one_point_sum
-
-    def recording(H, W):
-        t, S = original(H, W)
-        handed_out.append((S, S.copy()))
-        return t, S
-
-    monkeypatch.setattr(module, "_density_and_one_point_sum", recording)
-    return handed_out
 
 
 class TestSharedProjection:
@@ -279,24 +273,6 @@ class TestSharedProjection:
                 before = regularity_defect(H, W)
                 limit_law(H, W)
                 assert regularity_defect(H, W) == before
-
-    @SHARING_CASES
-    def test_limit_law_leaves_shared_sum_unchanged(self, name, monkeypatch):
-        H = SHARING_PATTERNS[name]
-        handed_out = watch_shared_sums(monkeypatch, limits)
-        for W in (discretize(KernelSpec.product(), 16), as_step_graphon(SKEWED)):
-            assert limit_law(H, W).kind == "gaussian"
-        assert len(handed_out) == 2
-        for S, copy in handed_out:
-            assert np.array_equal(S, copy)
-
-    def test_constants_leave_shared_sum_unchanged(self, monkeypatch, capsys):
-        handed_out = watch_shared_sums(monkeypatch, cli)
-        assert cli.main(["constants", "--pattern", "path3", "--kernel", "product", "--m", "8"]) == 0
-        capsys.readouterr()
-        assert len(handed_out) == 2
-        for S, copy in handed_out:
-            assert np.array_equal(S, copy)
 
 
 class TestSampleLimit:

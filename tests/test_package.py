@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "discretize",
     "dwh",
     "hom_density",
-    "is_regular",
     "ks_distance",
     "limit_law",
     "mean_count",
@@ -77,7 +76,10 @@ def test_no_module_holds_join_machinery():
         importlib.import_module(f"graphonlab.{info.name}")
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphonlab"]
     for module in modules:
-        for name in ("vertex_join", "weak_edge_join", "strong_edge_join", "MultiGraph"):
+        # nor a twin of limits._first_order, the one home of t, defect, tau2 and d_wh
+        for name in ("vertex_join", "weak_edge_join", "strong_edge_join", "MultiGraph",
+                     "_one_point_sum", "_density_and_one_point_sum", "_defect",
+                     "_tau_squared_of", "_degree_value", "is_regular"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 

@@ -43,6 +43,11 @@ def merged_support_ks(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
+def cpus(monkeypatch, count: int) -> None:
+    """Let this process see `count` CPUs."""
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 def small_config(**overrides):
     base = dict(
         pattern=STAR2,
@@ -165,6 +170,13 @@ class TestConfig:
         data.update(n=40.0, master_seed=71.0)
         assert ExperimentConfig.from_json_dict(data) == small_config()
 
+    def test_refuses_n_whose_counts_leave_exact_floats(self):
+        # 98^8 < 2^53 <= 99^8; the configs are only built, never run
+        eight = LabeledGraph.path(7)
+        assert small_config(pattern=eight, n=98).n == 98
+        with pytest.raises(ValueError, match="2\\^53"):
+            small_config(pattern=eight, n=99)
+
     @pytest.mark.parametrize(
         "name", ["quick_smoke", "two_star_product", "two_star_two_block"]
     )
@@ -196,6 +208,7 @@ class TestRunExperiment:
         cfg = small_config(replicates=24, n=25)
         serial = run_experiment(cfg).to_canonical_json()
         monkeypatch.setenv("GRAPHONLAB_THREADS", "3")
+        cpus(monkeypatch, 3)
         pooled = run_experiment(cfg).to_canonical_json()
         assert pooled == serial
 
@@ -240,12 +253,49 @@ class TestRunExperiment:
         assert not result.passed
 
 
+class TestWorkerCount:
+    def test_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv("GRAPHONLAB_THREADS", raising=False)
+        cpus(monkeypatch, 8)
+        assert simulate._worker_count(100) == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "-64"])
+    def test_refuses_fewer_than_one(self, raw, monkeypatch):
+        monkeypatch.setenv("GRAPHONLAB_THREADS", raw)
+        with pytest.raises(ValueError, match="GRAPHONLAB_THREADS must be >= 1"):
+            simulate._worker_count(100)
+
+    def test_refuses_a_non_integer(self, monkeypatch):
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "two")
+        with pytest.raises(ValueError, match="must be an integer"):
+            simulate._worker_count(100)
+
+    @pytest.mark.parametrize("raw,cpu_count,replicates,workers", [
+        ("2000", 2, 2000, 2),
+        ("2000", 3, 2000, 3),
+        ("2", 3, 2000, 2),
+        ("3", 8, 2, 2),
+    ])
+    def test_capped_at_cpus_and_replicates(self, raw, cpu_count, replicates, workers,
+                                           monkeypatch):
+        monkeypatch.setenv("GRAPHONLAB_THREADS", raw)
+        cpus(monkeypatch, cpu_count)
+        assert simulate._worker_count(replicates) == workers
+
+
 class TestOutputs:
     def test_writes_result_and_csv(self, tmp_path):
         result = run_experiment(small_config(replicates=10))
         result_path, csv_path = result.write(tmp_path / "out")
         data = json.loads(result_path.read_text())
         assert data["schema_version"] == 1
+        # star2 on two_block:0.5: sigma2 = 1/64 and one chi-square weight 3/32
+        assert data["limit_law"] == {
+            "kind": "mixture",
+            "sigma2": 1 / 64,
+            "lambdas": [pytest.approx(3 / 32, rel=1e-15)],
+            "scale_exponent": 2.0,
+        }
         assert len(data["records"]) == 10
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "replicate,seed,raw_count,normalized"
@@ -366,6 +416,29 @@ class TestCli:
             main(["frobnicate"])
         assert err.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [10**30, 10**400], ids=["1e30", "1e400"])
+    def test_oversized_n_exits_2_before_running(self, n, tmp_path, monkeypatch, capsys):
+        def refuse(config):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        root = Path(__file__).resolve().parents[1]
+        data = json.loads((root / "configs" / "quick_smoke.json").read_text(encoding="utf-8"))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(dict(data, n=n)))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, raw, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GRAPHONLAB_THREADS", raw)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(small_config(replicates=4, n=20).to_json_dict()))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert "GRAPHONLAB_THREADS must be >= 1" in capsys.readouterr().err
 
     def test_degenerate_config_exits_2(self, tmp_path, capsys):
         cfg = small_config(kernel=KernelSpec.constant(1.0), pattern=K3)

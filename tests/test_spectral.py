@@ -76,13 +76,6 @@ class TestSpectrum:
             assert a.size == b.size
             assert np.allclose(a, b, atol=1e-9)
 
-    def test_json_round_trip(self):
-        spec = spectrum(as_step_graphon(KernelSpec.two_block_diagonal(0.5)))
-        from graphonlab import Spectrum
-
-        back = Spectrum.from_json_dict(spec.to_json_dict())
-        assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-
 
 class TestDegreeEigenvalue:
     def test_two_star_on_two_block(self):
