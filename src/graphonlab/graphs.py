@@ -255,27 +255,27 @@ def _pin(unary: dict, pair: dict, nbrs: dict, size: int, marks: tuple[int, ...])
     p = max((w for w in unary if w not in marks), key=lambda w: len(nbrs[w]))
     f = unary.pop(p)
     rows = {w: _rows(pair, p, w) for w in nbrs[p]}
-    restrict = not marks and len(rows) == len(unary)
+    support = None
+    if not marks and len(rows) == len(unary):
+        distinct_rows = {id(R): R for R in rows.values()}.values()
+        support = np.logical_or.reduce([R != 0 for R in distinct_rows])
+        distinct = {id(M): M for M in pair.values()}
     total = np.zeros((size,) * len(marks))
     for a in range(size):
         if f is not None and f[a] == 0:
             continue
+        sub_pair, sub_size, keep = pair, size, slice(None)
+        if support is not None:
+            nbhd = np.flatnonzero(support[a])
+            if nbhd.size == 0:
+                continue
+            if nbhd.size < size:  # a cut keeping every vertex would only copy
+                cuts = {i: M[nbhd][:, nbhd] for i, M in distinct.items()}
+                sub_pair = {k: cuts[id(M)] for k, M in pair.items()}
+                sub_size, keep = nbhd.size, nbhd
         sub_unary = dict(unary)
         for w, R in rows.items():
-            sub_unary[w] = R[a] if sub_unary[w] is None else sub_unary[w] * R[a]
-        sub_pair, sub_size = pair, size
-        if restrict:
-            keep = np.flatnonzero(np.logical_or.reduce([R[a] != 0 for R in rows.values()]))
-            if keep.size == 0:
-                continue
-        if restrict and keep.size < size:  # a cut keeping every vertex would only copy
-            sub_unary = {w: g[keep] for w, g in sub_unary.items()}
-            cut: dict[int, np.ndarray] = {}
-            for M in pair.values():
-                if id(M) not in cut:
-                    cut[id(M)] = M[np.ix_(keep, keep)]
-            sub_pair = {k: cut[id(M)] for k, M in pair.items()}
-            sub_size = keep.size
+            sub_unary[w] = R[a, keep] if unary[w] is None else unary[w][keep] * R[a, keep]
         h = _eliminate(sub_unary, sub_pair, sub_size, marks)
         # not +=, which with no marks would add in place to a slow 0-d array
         total = total + (h if f is None else f[a] * h)

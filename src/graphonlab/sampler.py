@@ -42,7 +42,7 @@ def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
     blocks = np.asarray(W.block_index(latent))
     upper = ~np.tri(n, dtype=bool)  # j > i; boolean indexing is row-major
     A = np.zeros((n, n))
-    A[upper] = rng.random(n * (n - 1) // 2) < W.values[np.ix_(blocks, blocks)][upper]
+    A[upper] = rng.random(n * (n - 1) // 2) < W.values.take(blocks, 0).take(blocks, 1)[upper]
     A += A.T
     return A
 

@@ -40,35 +40,34 @@ _KS_CHUNK = 4096
 
 def ks_distance(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b| over the
-    merged support.
+    merged support of two non-empty finite samples.
 
-    Only the smaller sample is sorted; the larger one is streamed in chunks
-    against its distinct values u_0 < ... < u_{K-1}. On [u_k, u_{k+1}) the
-    empirical CDF of the smaller sample is constant and that of the larger
-    one rises from #{<= u_k} to #{< u_{k+1}}, and |x - y| over a monotone
-    run of floats peaks at an end of the run. So the support points at
-    those ends give the same maximum, float for float, as evaluating every
-    support point.
+    Only the distinct values u_0 < ... < u_{K-1} of the smaller sample are
+    searched, into each sorted chunk of _KS_CHUNK elements of the larger
+    one: from the right for #b <= u_k and from the left for #b < u_k, added
+    up over the chunks. On [u_k, u_{k+1}) the empirical CDF of the smaller
+    sample is constant and that of the larger one rises from #{<= u_k} to
+    #{< u_{k+1}}, and |x - y| over a monotone run of floats peaks at an end
+    of the run. So the support points at those ends give the same maximum,
+    float for float, as evaluating every support point.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be non-empty")
+    if a.size == 0 or b.size == 0 or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("both samples must be non-empty and finite")
     if a.size > b.size:
         a, b = b, a  # the statistic is symmetric
     u, multiplicity = np.unique(a, return_counts=True)
-    at_most = np.zeros(u.size + 1, dtype=np.int64)
-    below = np.zeros(u.size + 1, dtype=np.int64)
+    at_most = below = 0
     for i in range(0, b.size, _KS_CHUNK):
-        chunk = b[i : i + _KS_CHUNK]
-        at_most += np.bincount(np.searchsorted(u, chunk, side="left"), minlength=u.size + 1)
-        below += np.bincount(np.searchsorted(u, chunk, side="right"), minlength=u.size + 1)
-    at_most = np.cumsum(at_most)[:-1]  # #b <= u_k
-    below = np.cumsum(below)  # #b < u_k, with #b < infinity last
+        chunk = np.sort(b[i : i + _KS_CHUNK])
+        at_most = at_most + np.searchsorted(chunk, u, side="right")  # #b <= u_k
+        below = below + np.searchsorted(chunk, u, side="left")  # #b < u_k
     cdf_a = np.cumsum(multiplicity) / a.size
+    below_next = np.append(below[1:], b.size)  # #b < u_{k+1}, with #b < infinity last
     return max(
         float(np.max(np.abs(cdf_a - at_most / b.size))),
-        float(np.max(np.abs(cdf_a - below[1:] / b.size))),
+        float(np.max(np.abs(cdf_a - below_next / b.size))),
         float(below[0] / b.size),  # larger-sample points below u_0, where F_a is 0
     )
 

@@ -7,9 +7,11 @@ distributional tests run the full-size Monte Carlo experiments and dominate
 the runtime of the whole suite.
 """
 
+import hashlib
 import itertools
 import math
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from graphonlab import (
     sample_graph,
     tau_squared,
 )
+from graphonlab import simulate
+from graphonlab.cli import main
 from conftest import CLOSED_FORMS, random_step_graphon
 from counting_oracles import copy_edge_sets, exhaustive_copy_count
 from limit_oracles import (
@@ -203,6 +207,43 @@ def test_distributional_nonregular_case(criterion):
         assert result.law.kind == "gaussian"
         assert result.ks < 0.08
         assert result.mean_pass
+
+
+# ---------------------------------------------------------------------------
+# byte-identical outputs
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of result.json and replicates.csv for each shipped config; a change
+# that moves any of them changes what the harness reports.
+GOLDEN = {
+    "quick_smoke": (
+        "8f59d79167f544938e44b152aebfdea18d767dbf51e71661a14bdb99ab6860a6",
+        "4c52590d2711bee32b956b06a4f3d25146bb96431c5eca52aee8ee0ca4aefef5",
+    ),
+    "two_star_product": (
+        "07c63d050f702d42668e53aefcc4efa7321d311e62f162d7fd5b899601762b6d",
+        "dcb1f854f800e41b083915635707dc0795dd01f3cb2d2afe3d1e160cecb9f137",
+    ),
+    "two_star_two_block": (
+        "dcae4143c9e8ea30cb94acda450607f120b39b55f315c0f0a1a12b1b0a5d1196",
+        "d8050d25840bb4b9c7e1674a5e2007909e8967a18b278787d593bcc3a799c45c",
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(name, threads, criterion, monkeypatch, tmp_path, capsys):
+    with criterion(f"{name} outputs byte-identical with {threads} worker(s)"):
+        monkeypatch.setenv("GRAPHONLAB_THREADS", threads)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["simulate", "--config", str(CONFIGS / f"{name}.json"),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                        for f in ("result.json", "replicates.csv"))
+        assert digests == GOLDEN[name]
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,32 @@ class TestCountCopies:
             assert count_injective_homomorphisms(H, G) == expected
             assert count_copies(H, G) * automorphism_count(H) == expected
 
+    @pytest.mark.parametrize("name", ["k4", "k5", "wheel4", "k4_pendant"])
+    def test_pinned_patterns_on_edge_case_hosts(self, name):
+        # the host shrinks to a pinned vertex's neighbourhood, which is empty
+        # at an isolated vertex and is everything else in K_n
+        H, n = ZOO[name], 9
+        v = H.vertex_count
+        assert count_injective_homomorphisms(H, np.zeros((n, n))) == 0
+        assert count_injective_homomorphisms(H, LabeledGraph.complete(n)) == math.perm(n, v)
+        # two disjoint cliques: every copy of the connected H lies in one of them
+        a, b = 6, 8
+        cliques = LabeledGraph.from_edges(a + b, [
+            *itertools.combinations(range(1, a + 1), 2),
+            *itertools.combinations(range(a + 1, a + b + 1), 2),
+        ])
+        expected = math.perm(a, v) + math.perm(b, v)
+        assert count_injective_homomorphisms(H, cliques) == expected
+        # random graphs with isolated vertices spread among the others
+        rng = np.random.default_rng(sorted(ZOO).index(name))
+        for _ in range(3):
+            G = random_graph(rng, 24, 0.6)
+            isolated = set(rng.choice(np.arange(1, 25), 6, replace=False).tolist())
+            G = LabeledGraph.from_edges(24, [e for e in G.edges if not isolated & set(e)])
+            expected = backtrack_injective_homomorphisms(H, G)
+            assert count_injective_homomorphisms(H, G) == expected
+            assert count_copies(H, G) * automorphism_count(H) == expected
+
     def test_adjacency_array_host(self):
         rng = np.random.default_rng(5)
         G = random_graph(rng, 12, 0.5)

@@ -76,6 +76,19 @@ class TestKsDistance:
         with pytest.raises(ValueError):
             ks_distance([], [1.0])
 
+    @pytest.mark.parametrize("a,b", [
+        ([math.nan], [1.0]),
+        ([1.0, math.nan], [1.0, 2.0, 3.0]),
+        ([1.0], [2.0, math.inf]),
+        ([-math.inf, 0.0], [1.0]),
+        ([0.5], np.append(np.zeros(5000), math.nan)),
+    ])
+    def test_refuses_non_finite_samples(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            ks_distance(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            ks_distance(b, a)
+
     def test_matches_merged_support_evaluation(self):
         rng = np.random.default_rng(17)
         cases = [
@@ -89,6 +102,16 @@ class TestKsDistance:
         for _ in range(30):
             size_a, size_b = rng.integers(1, 60, 2)
             cases.append((rng.integers(-4, 4, size_a) / 3.0, rng.integers(-4, 4, size_b) / 3.0))
+        # the larger sample fills chunks of _KS_CHUNK = 4096 exactly, with one
+        # to spare or one short; runs of a smaller-sample value straddle the
+        # chunk boundary, so its ties are counted in two chunks
+        for size in (4095, 4096, 4097, 8192):
+            small = rng.integers(0, 6, 40).astype(float) / 7.0
+            large = rng.integers(0, 8, size).astype(float) / 7.0
+            large[4090:4100] = small[0]
+            large[-3:] = small[-1]
+            cases.append((small, large))
+            cases.append((np.repeat(small[:3], 2), np.sort(large)))
         for a, b in cases:
             assert ks_distance(a, b) == merged_support_ks(a, b)
             assert ks_distance(b, a) == merged_support_ks(a, b)
