@@ -30,10 +30,11 @@ from .limits import (
     sigma_squared,
     tau_squared,
 )
-from .sampler import SampleRecord, normalized_statistic, sample_graph
+from .sampler import sample_graph
 from .simulate import (
     ExperimentConfig,
     ExperimentResult,
+    SampleRecord,
     ks_distance,
     run_experiment,
 )
@@ -64,7 +65,6 @@ __all__ = [
     "ks_distance",
     "limit_law",
     "mean_count",
-    "normalized_statistic",
     "regularity_defect",
     "run_experiment",
     "sample_graph",

@@ -62,22 +62,18 @@ def _load_pattern(ref: str) -> LabeledGraph:
 
 
 def _load_kernel(ref: str) -> KernelSpec:
-    """Kernel from 'constant:p', 'product', 'two_block:p', or 'custom:FILE'."""
-    if ref == "product":
-        return KernelSpec.product()
+    """Kernel from 'KIND' or 'KIND:ARG' (constant:p, product, two_block:p,
+    custom:FILE): an ARG that reads as a number is the parameter p, any other
+    names a JSON file holding the kernel's other keys."""
     kind, sep, arg = ref.partition(":")
-    if not sep:
-        raise ValueError(f"kernel {ref!r} needs a parameter, e.g. constant:0.3")
-    if kind == "constant":
-        return KernelSpec.constant(float(arg))
-    if kind == "two_block":
-        return KernelSpec.two_block_diagonal(float(arg))
-    if kind == "custom":
-        data = json.loads(Path(arg).read_text(encoding="utf-8"))
-        if isinstance(data, dict) and "kind" not in data:
-            data = {"kind": "custom", **data}
-        return KernelSpec.from_json_dict(data)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    data = {"kind": kind}
+    if sep:
+        try:
+            data["p"] = float(arg)
+        except ValueError:
+            keys = json.loads(Path(arg).read_text(encoding="utf-8"))
+            data = {**data, **keys} if isinstance(keys, dict) else keys
+    return KernelSpec.from_json_dict(data)
 
 
 def _needs_refinement(spec: KernelSpec) -> bool:

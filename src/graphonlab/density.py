@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph, _eliminate, automorphism_count
+from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph, _eliminate
 from .graphon import StepGraphon
 
 
@@ -57,7 +57,7 @@ def mean_count(H: LabeledGraph, W: StepGraphon, n: int) -> float:
     v = H.vertex_count
     if n < v:
         raise ValueError(f"need n >= {v}, got {n}")
-    return math.perm(n, v) / automorphism_count(H) * hom_density(H, W)
+    return math.perm(n, v) / H.counting_plan.automorphisms * hom_density(H, W)
 
 
 def two_point_graphon(H: LabeledGraph, W: StepGraphon) -> StepGraphon:
@@ -77,4 +77,4 @@ def two_point_graphon(H: LabeledGraph, W: StepGraphon) -> StepGraphon:
         for b in range(a + 1, v + 1):
             vals = conditional_density(H, (a, b), W)
             total += vals + vals.T  # the (b, a) term is the transpose
-    return StepGraphon(W.block_weights, total / (2 * automorphism_count(H)))
+    return StepGraphon(W.block_weights, total / (2 * H.counting_plan.automorphisms))

@@ -23,9 +23,9 @@ KIND_PRODUCT = "product"
 KIND_TWO_BLOCK = "two_block"
 KIND_CUSTOM = "custom"
 
-# The keys of each kernel kind's JSON form.
-_KERNEL_KEYS = {KIND_CONSTANT: {"kind", "p"}, KIND_PRODUCT: {"kind"},
-                KIND_TWO_BLOCK: {"kind", "p"}, KIND_CUSTOM: {"kind", "pi", "B"}}
+# The keys besides "kind" of each kernel kind's JSON form.
+_KERNEL_KEYS = {KIND_CONSTANT: ("p",), KIND_PRODUCT: (), KIND_TWO_BLOCK: ("p",),
+                KIND_CUSTOM: ("pi", "B")}
 
 
 def _json_int(value, what: str) -> int:
@@ -156,8 +156,11 @@ class KernelSpec:
         """The kernel of a JSON object holding its kind and exactly the keys of
         that kind; a custom kernel's "pi" is a list and its "B" a list of rows."""
         kind = data.get("kind") if isinstance(data, Mapping) else None
-        if not isinstance(kind, str) or _KERNEL_KEYS.get(kind) != set(data):
-            raise ValueError(f"a kernel is an object with a known kind and its keys, got {data!r}")
+        keys = _KERNEL_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None or {"kind", *keys} != set(data):
+            known = "; ".join(f"{k}: {', '.join(ks) or 'none'}" for k, ks in _KERNEL_KEYS.items())
+            raise ValueError(f'a kernel is an object with a "kind" and its keys ({known}), '
+                             f"got {data!r}")
         if kind == KIND_PRODUCT:
             return cls.product()
         if kind == KIND_CUSTOM:
@@ -196,16 +199,11 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     elif spec.kind == KIND_PRODUCT:
         mid = (np.arange(m) + 0.5) / m
         B = np.outer(mid, mid)
-    elif spec.kind == KIND_TWO_BLOCK:
-        blocks = np.array([[spec.p, 0.0], [0.0, spec.p]], dtype=float)
-        B = _cell_average_step(np.array([0.0, 0.5, 1.0]), blocks, m)
-    elif spec.kind == KIND_CUSTOM:
-        weights = np.asarray(spec.block_weights, dtype=float)
-        breaks = np.concatenate(([0.0], np.cumsum(weights)))
+    else:  # two_block and custom: the blocks of the exact step kernel
+        W = as_step_graphon(spec)
+        breaks = np.concatenate(([0.0], np.cumsum(W.block_weights)))
         breaks[-1] = 1.0
-        B = _cell_average_step(breaks, np.asarray(spec.values, dtype=float), m)
-    else:  # pragma: no cover - constructor rejects unknown kinds
-        raise ValueError(f"unknown kernel kind {spec.kind!r}")
+        B = _cell_average_step(breaks, W.values, m)
     return StepGraphon(pi, B)
 
 

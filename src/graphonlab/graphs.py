@@ -24,9 +24,8 @@ from .graphon import _json_int
 
 Edge = tuple[int, int]
 
-# Brute-force automorphism enumeration refuses larger patterns.
-AUTOMORPHISM_VERTEX_BOUND = 10
-# Copy counting and density computations refuse patterns above this size.
+# Automorphism enumeration, copy counting and density computations refuse
+# patterns above this size.
 PATTERN_VERTEX_BOUND = 8
 # Copy counting refuses hosts with n^|V(H)| at or above this: float64 holds
 # every integer below 2^53 exactly, and every homomorphism count of a
@@ -125,13 +124,11 @@ def automorphism_count(H: LabeledGraph) -> int:
     """Number of vertex permutations of H mapping its edge set onto itself.
 
     Brute force over all permutations; refuses patterns with more than
-    AUTOMORPHISM_VERTEX_BOUND vertices.
+    PATTERN_VERTEX_BOUND vertices before enumerating any.
     """
     v = H.vertex_count
-    if v > AUTOMORPHISM_VERTEX_BOUND:
-        raise ValueError(
-            f"automorphism enumeration limited to {AUTOMORPHISM_VERTEX_BOUND} vertices, got {v}"
-        )
+    if v > PATTERN_VERTEX_BOUND:
+        raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
     edges = H.edges
     count = 0
     for perm in itertools.permutations(range(1, v + 1)):
@@ -168,11 +165,9 @@ class CountingPlan:
 
 
 def _counting_plan(H: LabeledGraph) -> CountingPlan:
-    v = H.vertex_count
-    if v > PATTERN_VERTEX_BOUND:
-        raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices")
+    automorphisms = automorphism_count(H)  # refuses patterns above PATTERN_VERTEX_BOUND
     coefficients: dict[LabeledGraph, int] = {}
-    for labels in _set_partitions(v):
+    for labels in _set_partitions(H.vertex_count):
         if any(labels[a - 1] == labels[b - 1] for a, b in H.edges):
             continue
         blocks = max(labels) + 1
@@ -185,7 +180,7 @@ def _counting_plan(H: LabeledGraph) -> CountingPlan:
         )
         coefficients[quotient] = coefficients.get(quotient, 0) + mu
     terms = tuple((c, F) for F, c in coefficients.items() if c != 0)
-    return CountingPlan(terms, automorphism_count(H))
+    return CountingPlan(terms, automorphisms)
 
 
 def _rows(pair: dict, a: int, b: int) -> np.ndarray:

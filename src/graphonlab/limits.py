@@ -29,7 +29,7 @@ import numpy as np
 
 from .density import conditional_density, hom_density, two_point_graphon
 from .graphon import StepGraphon
-from .graphs import LabeledGraph, automorphism_count
+from .graphs import LabeledGraph
 from .spectral import spec_minus, spectrum
 
 GAUSSIAN = "gaussian"
@@ -131,7 +131,7 @@ def _first_order(H: LabeledGraph, W: StepGraphon) -> tuple[float, float, float, 
         raise DegenerateGraphonError(
             "pattern_free", "pattern has zero density in the kernel; count is a.s. 0"
         )
-    v, aut = H.vertex_count, automorphism_count(H)
+    v, aut = H.vertex_count, H.counting_plan.automorphisms
     S = sum(conditional_density(H, (a,), W) for a in range(1, v + 1))
     defect = float(np.max(np.abs(S / v - t)))
     centered = S - float(W.block_weights @ S)
@@ -177,7 +177,7 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     of H - ab, a on rows. Expanding S2^2 gives the weak- minus strong-join
     densities of H glued to itself along ordered edge pairs (a ~ c, b ~ d).
     """
-    aut = automorphism_count(H)
+    aut = H.counting_plan.automorphisms
     edges = H.sorted_edges()
     if not edges:
         raise ValueError("pattern has no edges")

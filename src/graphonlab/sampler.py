@@ -1,25 +1,11 @@
-"""W-random graph sampling and the normalized count statistic."""
+"""W-random graph sampling."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .density import mean_count
 from .graphon import StepGraphon
-from .graphs import LabeledGraph, count_copies
-from .limits import LimitLaw
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One Monte Carlo replicate: the raw copy count and its normalization."""
-
-    seed: int
-    raw_count: int
-    normalized: float
+from .graphs import LabeledGraph
 
 
 def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
@@ -52,24 +38,3 @@ def sample_graph(W: StepGraphon, n: int, seed: int) -> LabeledGraph:
     rows, cols = np.nonzero(np.triu(sample_adjacency(W, n, seed)))
     return LabeledGraph.from_edges(n, zip((rows + 1).tolist(), (cols + 1).tolist()))
 
-
-def _record(H: LabeledGraph, n: int, seed: int, raw: int, mu: float, law: LimitLaw) -> SampleRecord:
-    """The replicate of a raw copy count of H on n vertices: centered at
-    mu and scaled by n^scale_exponent. A count above the complete graph's,
-    (n)_v / |Aut H|, is a counting bug and raises."""
-    if raw > math.perm(n, H.vertex_count) // H.counting_plan.automorphisms:
-        raise RuntimeError("copy count exceeds the complete-graph bound; counting bug")
-    normalized = (raw - mu) / float(n) ** law.scale_exponent
-    return SampleRecord(seed=seed, raw_count=raw, normalized=normalized)
-
-
-def normalized_statistic(
-    H: LabeledGraph, W: StepGraphon, G: LabeledGraph, law: LimitLaw, seed: int = 0
-) -> SampleRecord:
-    """Centered and scaled copy count of H in G:
-    (count - mean_count(H, W, n)) / n^scale_exponent with the exponent taken
-    from the limit law."""
-    n = G.vertex_count
-    if n < H.vertex_count:
-        raise ValueError(f"host graph needs at least {H.vertex_count} vertices")
-    return _record(H, n, seed, count_copies(H, G), mean_count(H, W, n), law)

@@ -23,9 +23,9 @@ import numpy as np
 from .density import mean_count
 from .graphon import DEFAULT_DISCRETIZATION, KernelSpec, StepGraphon, as_step_graphon
 from .graphon import _json_int, _json_real
-from .graphs import EXACT_COUNT_BOUND, LabeledGraph
+from .graphs import EXACT_COUNT_BOUND, LabeledGraph, count_copies
 from .limits import REGULARITY_TOL, LimitLaw, limit_law, sample_limit
-from .sampler import SampleRecord, _record, count_copies, sample_adjacency
+from .sampler import sample_adjacency
 
 SCHEMA_VERSION = 1
 THREADS_ENV_VAR = "GRAPHONLAB_THREADS"
@@ -158,6 +158,25 @@ class ExperimentConfig:
             master_seed=_json_int(data["master_seed"], "master_seed"),
             **kwargs,
         )
+
+
+@dataclass(frozen=True)
+class SampleRecord:
+    """One Monte Carlo replicate: the raw copy count and its normalization."""
+
+    seed: int
+    raw_count: int
+    normalized: float
+
+
+def _record(H: LabeledGraph, n: int, seed: int, raw: int, mu: float, law: LimitLaw) -> SampleRecord:
+    """The replicate of a raw copy count of H on n vertices: centered at
+    mu and scaled by n^scale_exponent. A count above the complete graph's,
+    (n)_v / |Aut H|, is a counting bug and raises."""
+    if raw > math.perm(n, H.vertex_count) // H.counting_plan.automorphisms:
+        raise RuntimeError("copy count exceeds the complete-graph bound; counting bug")
+    normalized = (raw - mu) / float(n) ** law.scale_exponent
+    return SampleRecord(seed=seed, raw_count=raw, normalized=normalized)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,15 @@ class TestDiscretize:
         again = discretize(KernelSpec.custom(once.block_weights, once.values), 4)
         assert np.allclose(again.values, once.values, atol=1e-15)
 
+    @pytest.mark.parametrize("m", [1, 3, 4, 256])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_two_block_equals_its_custom_grid_bit_for_bit(self, p, m):
+        # both kinds are averaged from the blocks as_step_graphon gives them
+        a = discretize(KernelSpec.two_block_diagonal(p), m)
+        b = discretize(KernelSpec.custom([0.5, 0.5], [[p, 0.0], [0.0, p]]), m)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.block_weights.tobytes() == b.block_weights.tobytes()
+
     def test_product_degree_sup_error_halves(self):
         # first-order convergence of cell averages away from midpoints
         grid = np.linspace(0.0, 1.0, 2049)
@@ -192,6 +201,13 @@ class TestKernelSpec:
     def test_json_refuses_what_it_would_change_or_ignore(self, data):
         with pytest.raises(ValueError):
             KernelSpec.from_json_dict(data)
+
+    def test_refusal_names_the_kinds_and_their_keys(self):
+        known = "(constant: p; product: none; two_block: p; custom: pi, B)"
+        for data in ({"kind": "ring", "p": 0.2}, {"kind": "constant"}, {"p": 0.5}):
+            with pytest.raises(ValueError) as refused:
+                KernelSpec.from_json_dict(data)
+            assert known in str(refused.value)
 
     def test_as_step_graphon_exact_for_step_kinds(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5), m=999)

@@ -18,10 +18,16 @@ from limit_oracles import strong_edge_join, vertex_join, weak_edge_join
 
 from graphonlab import graphs
 from graphonlab import (
+    ExperimentConfig,
+    KernelSpec,
     LabeledGraph,
+    as_step_graphon,
     automorphism_count,
     count_copies,
     count_injective_homomorphisms,
+    limit_law,
+    mean_count,
+    run_experiment,
 )
 
 K2 = LabeledGraph.complete(2)
@@ -83,6 +89,23 @@ class TestAutomorphisms:
     def test_brute_force_bound(self):
         with pytest.raises(ValueError):
             automorphism_count(LabeledGraph.empty(11))
+
+    def test_refuses_above_the_pattern_bound_before_enumerating(self, monkeypatch):
+        # the one size limit of every pattern function; at 10 vertices the
+        # 10! permutations took seconds before the density refused
+        def refuse(*args):
+            raise AssertionError("permutations enumerated for a refused pattern")
+
+        assert graphs.PATTERN_VERTEX_BOUND == 8
+        assert automorphism_count(LabeledGraph.cycle(8)) == 16
+        W = as_step_graphon(KernelSpec.constant(0.5))
+        with monkeypatch.context() as patched:
+            patched.setattr(itertools, "permutations", refuse)
+            for call in (lambda: automorphism_count(LabeledGraph.cycle(9)),
+                         lambda: automorphism_count(LabeledGraph.empty(9)),
+                         lambda: mean_count(LabeledGraph.cycle(10), W, 20)):
+                with pytest.raises(ValueError, match="limited to 8 vertices"):
+                    call()
 
 
 class TestCopySet:
@@ -300,14 +323,24 @@ class TestCountCopies:
             count_copies(H, np.zeros((99, 99)))
 
     def test_automorphisms_counted_once_per_pattern(self, monkeypatch):
+        # counts, the mean, the limit law (mixture branch: W_H and sigma2 too)
+        # and a whole experiment read |Aut H| from the pattern's one plan:
+        # the v! permutations are enumerated once, whoever imported what
         calls = []
-        original = graphs.automorphism_count
-        monkeypatch.setattr(graphs, "automorphism_count", lambda H: calls.append(H) or original(H))
+        original = itertools.permutations
+        monkeypatch.setattr(itertools, "permutations", lambda *a: calls.append(a) or original(*a))
+        monkeypatch.delenv("GRAPHONLAB_THREADS", raising=False)
         H = LabeledGraph.cycle(4)
         rng = np.random.default_rng(3)
         for _ in range(5):
             count_copies(H, random_graph(rng, 9, 0.5))
-        assert len(calls) == 1
+        kernel = KernelSpec.two_block_diagonal(0.5)
+        W = as_step_graphon(kernel)
+        mean_count(H, W, 9)
+        assert limit_law(H, W).kind == "mixture"
+        run_experiment(ExperimentConfig(pattern=H, kernel=kernel, n=9, replicates=3,
+                                        master_seed=0, reference_draws=1_000))
+        assert calls == [(range(1, 5),)]
 
 
 def test_falling_factorial():

@@ -51,7 +51,6 @@ PUBLIC_NAMES = [
     "ks_distance",
     "limit_law",
     "mean_count",
-    "normalized_statistic",
     "regularity_defect",
     "run_experiment",
     "sample_graph",
@@ -83,6 +82,24 @@ def test_no_module_holds_join_machinery():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_sampler_only_samples():
+    from graphonlab import density, limits, sampler, simulate
+
+    above = {module.__name__ for module in (density, limits, simulate)}
+    for name, value in vars(sampler).items():
+        home = value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None)
+        assert home not in above, f"graphonlab.sampler.{name} comes from {home}"
+
+
+def test_automorphisms_are_enumerated_only_for_the_counting_plan():
+    # everything else reads |Aut H| from H.counting_plan; cli's selftest
+    # checks the enumeration itself
+    for info in pkgutil.iter_modules(graphonlab.__path__):
+        if info.name not in ("graphs", "cli"):
+            source = inspect.getsource(importlib.import_module(f"graphonlab.{info.name}"))
+            assert "automorphism_count" not in source, info.name
+
+
 def test_package_never_calls_einsum(monkeypatch, capsys):
     # numpy.einsum refuses only while package code runs; the test oracles
     # use it afterwards
@@ -110,7 +127,7 @@ def test_package_never_calls_einsum(monkeypatch, capsys):
 
 
 def test_only_the_regularity_tolerance_is_a_parameter():
-    # truncation, degree matching and the automorphism bound are module
+    # truncation, degree matching and the pattern size bound are module
     # constants; regularity_tol is set by configs
     assert list(inspect.signature(limit_law).parameters) == ["H", "W", "regularity_tol"]
     assert list(inspect.signature(spectrum).parameters) == ["kernel"]

@@ -1,4 +1,4 @@
-"""Sampler module: W-random graphs and the normalized statistic."""
+"""Sampler module: W-random graphs, and the normalized statistic of a sample."""
 
 import math
 
@@ -10,16 +10,17 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     LimitLaw,
+    SampleRecord,
     StepGraphon,
     as_step_graphon,
     count_copies,
     hom_density,
     mean_count,
-    normalized_statistic,
     sample_graph,
 )
 from graphonlab.graphon import discretize
 from graphonlab.sampler import sample_adjacency
+from graphonlab.simulate import _record
 
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
@@ -92,36 +93,35 @@ class TestSampleGraph:
 
 
 class TestNormalizedStatistic:
+    """The replicate record of a sample: simulate._record of the count_copies
+    count, centered at mean_count and scaled by n^scale_exponent."""
+
+    @staticmethod
+    def record(H, W, G, law, seed=0):
+        n = G.vertex_count
+        return _record(H, n, seed, count_copies(H, G), mean_count(H, W, n), law)
+
     def test_all_ones_kernel_is_exactly_centered(self):
         W = as_step_graphon(KernelSpec.constant(1.0))
         law = LimitLaw.gaussian(0.0, 3)
         for seed in (3, 4):
-            G = sample_graph(W, 10, seed)
-            rec = normalized_statistic(K3, W, G, law, seed=seed)
-            assert rec.raw_count == math.perm(10, 3) // 6
-            assert rec.normalized == 0.0
+            rec = self.record(K3, W, sample_graph(W, 10, seed), law, seed=seed)
+            assert rec == SampleRecord(seed=seed, raw_count=math.perm(10, 3) // 6, normalized=0.0)
 
     def test_single_edge_two_point_support(self):
         p = 0.3
         W = as_step_graphon(KernelSpec.constant(p))
         law = LimitLaw.gaussian(0.0, 2)  # exponent 1.5
         K2 = LabeledGraph.complete(2)
-        seen = set()
-        for seed in range(40):
-            rec = normalized_statistic(K2, W, sample_graph(W, 2, seed), law, seed=seed)
-            seen.add(rec.normalized)
-        expected = {(0 - p) / 2**1.5, (1 - p) / 2**1.5}
-        assert seen == expected
+        seen = {self.record(K2, W, sample_graph(W, 2, seed), law).normalized for seed in range(40)}
+        assert seen == {(0 - p) / 2**1.5, (1 - p) / 2**1.5}
 
     def test_replicate_mean_matches_mean_count(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.6))
         n, reps = 40, 200
         law = LimitLaw.mixture(0.0, (), 3)
-        raws = []
-        for seed in range(reps):
-            rec = normalized_statistic(STAR2, W, sample_graph(W, n, seed), law, seed=seed)
-            raws.append(rec.raw_count)
-        raws = np.array(raws, dtype=float)
+        raws = np.array([self.record(STAR2, W, sample_graph(W, n, seed), law).raw_count
+                         for seed in range(reps)], dtype=float)
         se = float(np.std(raws, ddof=1)) / math.sqrt(reps)
         assert abs(float(np.mean(raws)) - mean_count(STAR2, W, n)) <= 4 * se
 
@@ -129,12 +129,17 @@ class TestNormalizedStatistic:
         W = as_step_graphon(KernelSpec.constant(0.9))
         law = LimitLaw.gaussian(0.0, 3)
         G = sample_graph(W, 12, 5)
-        rec = normalized_statistic(K3, W, G, law)
+        rec = self.record(K3, W, G, law)
         assert 0 <= rec.raw_count <= math.perm(12, 3) // 6
         assert rec.raw_count == count_copies(K3, G)
+        # K_12 holds (12)_3 / |Aut K3| triangles; one more is a counting bug
+        bound = math.perm(12, 3) // 6
+        assert _record(K3, 12, 0, bound, 0.0, law).raw_count == bound
+        with pytest.raises(RuntimeError, match="complete-graph bound"):
+            _record(K3, 12, 0, bound + 1, 0.0, law)
 
     def test_rejects_host_smaller_than_pattern(self):
         W = as_step_graphon(KernelSpec.constant(0.5))
         law = LimitLaw.gaussian(0.0, 3)
         with pytest.raises(ValueError):
-            normalized_statistic(K3, W, sample_graph(W, 2, 0), law)
+            self.record(K3, W, sample_graph(W, 2, 0), law)

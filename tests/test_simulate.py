@@ -428,6 +428,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("ref", ["constant", "product:0.3", "ring:0.2", "nonsense"])
+    def test_bad_kernel_exits_2_with_the_config_message(self, ref, tmp_path, capsys):
+        # --kernel and a config file's "kernel" are refused by the same check
+        assert main(["density", "--pattern", "k2", "--kernel", ref]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a kernel is an object")
+        assert captured.err.count("\n") == 1
+        kind, sep, p = ref.partition(":")
+        kernel = {"kind": kind, **({"p": float(p)} if sep else {})}
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(dict(small_config().to_json_dict(), kernel=kernel)))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == captured.err
+
     def test_pattern_file_loading(self, tmp_path, capsys):
         pattern_path = tmp_path / "k2.json"
         pattern_path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
