@@ -430,11 +430,13 @@ class TestCli:
 
     @pytest.mark.parametrize("ref", ["constant", "product:0.3", "ring:0.2", "nonsense"])
     def test_bad_kernel_exits_2_with_the_config_message(self, ref, tmp_path, capsys):
-        # --kernel and a config file's "kernel" are refused by the same check
+        # --kernel and a config file's "kernel" are refused by the same check,
+        # which names every kind and its keys
         assert main(["density", "--pattern", "k2", "--kernel", ref]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: a kernel is an object")
+        assert "(constant: p; product: none; two_block: p; custom: pi, B)" in captured.err
         assert captured.err.count("\n") == 1
         kind, sep, p = ref.partition(":")
         kernel = {"kind": kind, **({"p": float(p)} if sep else {})}
