@@ -13,22 +13,15 @@ from .graphon import (
     as_step_graphon,
     discretize,
 )
-from .graphs import (
-    LabeledGraph,
-    automorphism_count,
-    count_copies,
-    count_injective_homomorphisms,
-)
+from .graphs import LabeledGraph, automorphism_count, count_copies
 from .limits import (
     REGULARITY_TOL,
     DegenerateGraphonError,
     LimitLaw,
-    dwh,
+    first_order,
     limit_law,
-    regularity_defect,
     sample_limit,
     sigma_squared,
-    tau_squared,
 )
 from .sampler import sample_graph
 from .simulate import (
@@ -58,20 +51,17 @@ __all__ = [
     "automorphism_count",
     "conditional_density",
     "count_copies",
-    "count_injective_homomorphisms",
     "discretize",
-    "dwh",
+    "first_order",
     "hom_density",
     "ks_distance",
     "limit_law",
     "mean_count",
-    "regularity_defect",
     "run_experiment",
     "sample_graph",
     "sample_limit",
     "sigma_squared",
     "spec_minus",
     "spectrum",
-    "tau_squared",
     "two_point_graphon",
 ]

@@ -30,12 +30,9 @@ from .graphs import LabeledGraph, automorphism_count, count_copies
 from .limits import (
     REGULARITY_TOL,
     DegenerateGraphonError,
-    _first_order,
-    dwh,
+    first_order,
     limit_law,
-    regularity_defect,
     sigma_squared,
-    tau_squared,
 )
 from .sampler import sample_graph
 from .simulate import ExperimentConfig, run_experiment
@@ -64,15 +61,17 @@ def _load_pattern(ref: str) -> LabeledGraph:
 def _load_kernel(ref: str) -> KernelSpec:
     """Kernel from 'KIND' or 'KIND:ARG' (constant:p, product, two_block:p,
     custom:FILE): an ARG that reads as a number is the parameter p, any other
-    names a JSON file holding the kernel's other keys."""
+    names a JSON file holding the kernel's other keys. A file naming another
+    kind is refused."""
     kind, sep, arg = ref.partition(":")
     data = {"kind": kind}
     if sep:
         try:
             data["p"] = float(arg)
         except ValueError:
-            keys = json.loads(Path(arg).read_text(encoding="utf-8"))
-            data = {**data, **keys} if isinstance(keys, dict) else keys
+            data = json.loads(Path(arg).read_text(encoding="utf-8"))
+            if isinstance(data, dict) and data.setdefault("kind", kind) != kind:
+                raise ValueError(f"kernel file {arg} names kind {data['kind']!r}, not {kind!r}")
     return KernelSpec.from_json_dict(data)
 
 
@@ -91,12 +90,12 @@ def _cmd_density(args) -> int:
 def _cmd_regularity(args) -> int:
     H = _load_pattern(args.pattern)
     spec = _load_kernel(args.kernel)
-    defect = regularity_defect(H, as_step_graphon(spec, args.m))
+    defect = first_order(H, as_step_graphon(spec, args.m)).defect
     print(f"m = {args.m}")
     print(f"defect = {defect!r}")
     print(f"regular = {str(defect <= args.tol).lower()}")
     if _needs_refinement(spec):
-        refined = regularity_defect(H, discretize(spec, 2 * args.m))
+        refined = first_order(H, discretize(spec, 2 * args.m)).defect
         print(f"refined_m = {2 * args.m}")
         print(f"refined_defect = {refined!r}")
     return 0
@@ -105,7 +104,7 @@ def _cmd_regularity(args) -> int:
 def _constants_lines(H: LabeledGraph, W: StepGraphon, tol: float, prefix: str = "") -> list[str]:
     """The constants block of one (H, W), every value computed before any is
     printed."""
-    t, defect, tau2, d_wh = _first_order(H, W)
+    t, defect, tau2, d_wh = first_order(H, W)
     regular = defect <= tol
     sigma2 = sigma_squared(H, W)
     if regular:
@@ -219,15 +218,14 @@ def _closed_forms() -> list[_ClosedForm]:
         return [row(quantity, name, f"{kind}:{p}", *check) for quantity, *check in [
             ("t", hom_density, t, 1e-15),
             ("sigma2", sigma_squared, sigma2, 0.0 if p == 0.5 else 1e-14 * sigma2),
-            ("d_wh", dwh, d_wh, 1e-15),
+            ("d_wh", lambda H, W: first_order(H, W).d_wh, d_wh, 1e-15),
             ("two-point kernel", lambda H, W: two_point_graphon(H, W).values,
              k * d_wh * np.eye(k), 1e-15 * np.eye(k)),
             ("spectrum of the two-point kernel",
              lambda H, W: spectrum(two_point_graphon(H, W)).eigenvalues, [d_wh] * k, 1e-15),
             ("limit law", mixture, [sigma2, *lams, sigma2 + 2 * sum(x * x for x in lams)], 1e-15),
             (f"mean count at n={v + 1}", lambda H, W: mean_count(H, W, v + 1), mean, 1e-14 * mean),
-            ("defect and tau2", lambda H, W: (regularity_defect(H, W), tau_squared(H, W)),
-             [0, 0], [1e-12, 0]),
+            ("defect and tau2", lambda H, W: first_order(H, W)[1:3], [0, 0], [1e-12, 0]),
         ]]
 
     def constant(name: str, p: float) -> list[_ClosedForm]:
@@ -245,7 +243,7 @@ def _closed_forms() -> list[_ClosedForm]:
         at256, at512, limit = (float(_product_tau(H, aut, m)) for m in (256, 512, None))
 
         def compute():
-            a, b = (tau_squared(H, discretize(KernelSpec.product(), m)) for m in (256, 512))
+            a, b = (first_order(H, discretize(KernelSpec.product(), m)).tau2 for m in (256, 512))
             return a, b, abs(b - limit) < abs(a - limit)
 
         return _ClosedForm(f"tau2 of {name} on product, m=256 and 512", compute,
@@ -272,7 +270,7 @@ def _closed_forms() -> list[_ClosedForm]:
         product("t", "star2", 256, hom_density, _product_density(star2, 256)),
         product("t", "k4", 64, hom_density, _product_density(graphs["k4"], 64)),
         row("regularity defect above 1e-4", "star2", "product, m=256",
-            lambda H, W: regularity_defect(H, W) > 1e-4, True),
+            lambda H, W: first_order(H, W).defect > 1e-4, True),
         row("copies in a sample", "k3", "constant:1",
             lambda H, W: count_copies(H, sample_graph(W, 6, seed=11)), math.comb(6, 3)),
         # cycle4 takes the Moebius sum over four quotients, k4 the pinning branch

@@ -87,9 +87,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return _sorted_edge(a, b) in self.edges
-
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.vertex_count
         for a, b in self.edges:
@@ -300,9 +297,10 @@ def _adjacency(G: LabeledGraph | np.ndarray) -> np.ndarray:
     return A
 
 
-def count_injective_homomorphisms(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
-    """Injective maps V(H) -> V(G) sending every edge of H to an edge of G,
-    as the Moebius sum of homomorphism counts over the quotients of H.
+def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
+    """Number of subgraphs of G isomorphic to H: the injective homomorphisms
+    V(H) -> V(G), a Moebius sum of homomorphism counts over the quotients of
+    H, divided by the automorphism count.
 
     G is a LabeledGraph or its 0/1 adjacency matrix. The size bounds are
     checked before any counting starts.
@@ -317,16 +315,7 @@ def count_injective_homomorphisms(H: LabeledGraph, G: LabeledGraph | np.ndarray)
             f"host size {n} to the power {v} reaches 2^53: float64 homomorphism "
             "counts would no longer be exact"
         )
-    return sum(c * _hom(F, A) for c, F in plan.terms)
-
-
-def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
-    """Number of subgraphs of G isomorphic to H (injective homomorphisms
-    divided by the automorphism count); G is a LabeledGraph or its 0/1
-    adjacency matrix."""
-    inj = count_injective_homomorphisms(H, G)
-    aut = H.counting_plan.automorphisms
-    if inj % aut != 0:
+    inj = sum(c * _hom(F, A) for c, F in plan.terms)
+    if inj % plan.automorphisms != 0:
         raise RuntimeError("injective homomorphism count not divisible by |Aut|")
-    return inj // aut
-
+    return inj // plan.automorphisms

@@ -17,13 +17,14 @@ conditional densities of H itself, with no pattern glued to itself:
 over the vertices a and the sorted edges (a, b) of H, with t_{H-ab} the
 two-point conditional density of H minus that edge, a at x and b at y.
 S is the first Hoeffding projection of the count: W is H-regular exactly
-when it is constant, and t(H,W), the regularity defect, tau2 and the degree
-d_wh of the two-point kernel all derive from the pair (t, S).
+when it is constant, and first_order derives t(H,W), the regularity
+defect, tau2 and the degree d_wh of the two-point kernel from (t, S).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,10 +116,21 @@ def _clamp_variance(raw: float, name: str) -> float:
     return raw
 
 
-def _first_order(H: LabeledGraph, W: StepGraphon) -> tuple[float, float, float, float]:
+class FirstOrder(NamedTuple):
+    t: float
+    defect: float
+    tau2: float
+    d_wh: float
+
+
+def first_order(H: LabeledGraph, W: StepGraphon) -> FirstOrder:
     """t(H, W), the regularity defect, tau2 and d_wh of one (H, W), all from
     t and the one-point sum S = sum_a t_a, summed in vertex order.
 
+    Zero defect, the sup-norm distance between S / v and t, switches the
+    law to the mixture branch. tau2 is the variance of S over |Aut H|^2:
+    exactly 0 when S is constant. d_wh = v (v-1) / (2 |Aut H|) t is the
+    degree of the two-point kernel when W is H-regular, advisory otherwise.
     Raises ValueError for kernels with values outside [0,1], and
     DegenerateGraphonError for the all-ones kernel and for H-free kernels.
     """
@@ -136,39 +148,7 @@ def _first_order(H: LabeledGraph, W: StepGraphon) -> tuple[float, float, float, 
     defect = float(np.max(np.abs(S / v - t)))
     centered = S - float(W.block_weights @ S)
     tau2 = float(W.block_weights @ centered**2) / (aut * aut)
-    return t, defect, tau2, v * (v - 1) / (2 * aut) * t
-
-
-def regularity_defect(H: LabeledGraph, W: StepGraphon) -> float:
-    """Sup-norm distance between the vertex-averaged 1-point conditional
-    density S / v and the plain density t(H, W).
-
-    Zero defect is the regularity that switches the limit law to the
-    chi-square-mixture branch. Raises DegenerateGraphonError for the
-    all-ones kernel and for H-free kernels, and ValueError for values
-    outside [0,1]; tau_squared, dwh and limit_law refuse the same inputs.
-    """
-    return _first_order(H, W)[1]
-
-
-def tau_squared(H: LabeledGraph, W: StepGraphon) -> float:
-    """Gaussian-branch variance: the variance of S = sum_a t_a, the summed
-    one-point conditional densities (mean v t(H,W)), over |Aut(H)|^2. Since
-    int t_a t_b is the density of H glued to itself at a ~ b, this is the
-    sum of those over ordered vertex pairs minus v^2 t^2, over |Aut(H)|^2;
-    centered, it is a sum of squares, exactly 0 when S is constant.
-    """
-    return _first_order(H, W)[2]
-
-
-def dwh(H: LabeledGraph, W: StepGraphon) -> float:
-    """Degree value of the two-point conditional kernel of H in W:
-    |V(H)| (|V(H)|-1) / (2 |Aut(H)|) * t(H, W).
-
-    Equals the constant degree of that kernel when W is H-regular; for
-    non-regular W the number is still computed but is advisory only.
-    """
-    return _first_order(H, W)[3]
+    return FirstOrder(t, defect, tau2, v * (v - 1) / (2 * aut) * t)
 
 
 def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
@@ -191,7 +171,7 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
 
 def limit_law(H: LabeledGraph, W: StepGraphon, regularity_tol: float = REGULARITY_TOL) -> LimitLaw:
     """Decide the branch from the regularity defect and assemble the law."""
-    _, defect, tau2, d_wh = _first_order(H, W)
+    _, defect, tau2, d_wh = first_order(H, W)
     v = H.vertex_count
     if defect > regularity_tol:
         return LimitLaw.gaussian(tau2, v)

@@ -29,21 +29,6 @@ class Spectrum:
     eigenvectors: np.ndarray
     block_weights: np.ndarray
 
-    def __len__(self) -> int:
-        return self.eigenvalues.size
-
-    def apply(self, kernel: StepGraphon) -> np.ndarray:
-        """Operator image of each eigenfunction, one row per eigenvalue."""
-        weighted = kernel.values * kernel.block_weights[None, :]
-        return self.eigenvectors @ weighted.T
-
-    def max_residual(self, kernel: StepGraphon) -> float:
-        """sup-norm of T phi - lambda phi over all stored pairs."""
-        if len(self) == 0:
-            return 0.0
-        resid = self.apply(kernel) - self.eigenvalues[:, None] * self.eigenvectors
-        return float(np.max(np.abs(resid)))
-
     def to_json_dict(self) -> dict:
         return {
             "eigenvalues": self.eigenvalues.tolist(),

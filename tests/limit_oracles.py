@@ -89,9 +89,9 @@ def vertex_join(H1: LabeledGraph, a: int, H2: LabeledGraph, b: int) -> LabeledGr
 def _check_join_edges(H1: LabeledGraph, e1: Edge, H2: LabeledGraph, e2: Edge):
     a, b = e1
     c, d = e2
-    if not H1.has_edge(a, b):
+    if _sorted_edge(a, b) not in H1.edges:
         raise ValueError(f"({a},{b}) is not an edge of H1")
-    if not H2.has_edge(c, d):
+    if _sorted_edge(c, d) not in H2.edges:
         raise ValueError(f"({c},{d}) is not an edge of H2")
     return a, b, c, d
 

@@ -17,9 +17,9 @@ from graphonlab import (
     cli,
     conditional_density,
     discretize,
+    first_order,
     hom_density,
     mean_count,
-    regularity_defect,
     two_point_graphon,
 )
 
@@ -192,24 +192,24 @@ class TestRegularity:
 
     def test_product_is_not_two_star_regular(self):
         W = discretize(KernelSpec.product(), 64)
-        assert regularity_defect(STAR2, W) > 1e-4
+        assert first_order(STAR2, W).defect > 1e-4
 
     def test_all_ones_kernel_is_degenerate(self):
         W = as_step_graphon(KernelSpec.constant(1.0))
         with pytest.raises(DegenerateGraphonError) as err:
-            regularity_defect(K3, W)
+            first_order(K3, W)
         assert err.value.reason == "complete"
 
     def test_pattern_free_kernel_is_degenerate(self):
         bipartite = StepGraphon(np.array([0.5, 0.5]), np.array([[0.0, 0.8], [0.8, 0.0]]))
         with pytest.raises(DegenerateGraphonError) as err:
-            regularity_defect(K3, bipartite)
+            first_order(K3, bipartite)
         assert err.value.reason == "pattern_free"
 
     def test_rejects_non_probability_kernel(self):
         derived = StepGraphon(np.array([1.0]), np.array([[1.2]]))
         with pytest.raises(ValueError):
-            regularity_defect(K2, derived)
+            first_order(K2, derived)
 
 
 class TestTwoPointGraphon:
@@ -261,7 +261,7 @@ class TestTwoPointGraphon:
         kernels.append(as_step_graphon(KernelSpec.two_block_diagonal(0.5)))
         for W in kernels:
             for H in small_patterns.values():
-                defect = regularity_defect(H, W)
+                defect = first_order(H, W).defect
                 d = two_point_graphon(H, W).degree()
                 spread = float(np.max(d) - np.min(d))
                 assert (defect <= 1e-10) == (spread <= 1e-10)

@@ -21,12 +21,10 @@ from graphonlab import (
     as_step_graphon,
     conditional_density,
     discretize,
-    dwh,
+    first_order,
     limit_law,
-    regularity_defect,
     sample_limit,
     sigma_squared,
-    tau_squared,
     two_point_graphon,
 )
 
@@ -71,17 +69,17 @@ class TestTauSquared:
         for W in graphon_suite[:8]:
             d = W.degree()
             var = float(W.block_weights @ d**2 - (W.block_weights @ d) ** 2)
-            assert tau_squared(K2, W) == pytest.approx(var, abs=1e-12)
+            assert first_order(K2, W).tau2 == pytest.approx(var, abs=1e-12)
 
     def test_alternate_form_agreement(self, graphon_suite, small_patterns):
         for W in graphon_suite:
             for H in small_patterns.values():
-                assert matches_oracle(tau_squared(H, W), tau_squared_by_joins(H, W))
+                assert matches_oracle(first_order(H, W).tau2, tau_squared_by_joins(H, W))
 
     @PRODUCT_ORACLE_CASES
     def test_join_oracle_on_product(self, H, m):
         W = discretize(KernelSpec.product(), m)
-        assert matches_oracle(tau_squared(H, W), tau_squared_by_joins(H, W))
+        assert matches_oracle(first_order(H, W).tau2, tau_squared_by_joins(H, W))
 
     def test_vertex_join_consistency(self, graphon_suite, small_patterns):
         # int t_a t_b dx equals the density of the pattern glued to itself at (a, b)
@@ -102,8 +100,8 @@ class TestTauSquared:
         ]
         for W in kernels:
             for H in small_patterns.values():
-                regular = regularity_defect(H, W) <= 1e-10
-                assert (tau_squared(H, W) <= 1e-10) == regular
+                constants = first_order(H, W)
+                assert (constants.tau2 <= 1e-10) == (constants.defect <= 1e-10)
 
     @pytest.mark.parametrize("name", ["path4", "star4", "cycle5"], ids=["path4", "star4", "c5"])
     def test_five_vertex_patterns_on_product(self, name):
@@ -195,11 +193,11 @@ class TestLimitLaw:
 ], ids=["all-ones", "pattern-free", "values-above-1"])
 def test_first_order_constants_refuse_the_same_kernels(H, W, error):
     refusals = []
-    for constant in (regularity_defect, tau_squared, dwh, limit_law):
+    for constant in (first_order, limit_law):
         with pytest.raises(error) as info:
             constant(H, W)
         refusals.append((type(info.value), str(info.value), getattr(info.value, "reason", None)))
-    assert refusals.count(refusals[0]) == 4
+    assert refusals.count(refusals[0]) == 2
 
 
 # Patterns whose contraction counts pin the sharing of t(H, W) and S.
@@ -264,15 +262,15 @@ class TestSharedProjection:
                 law = limit_law(H, W)
                 if law.kind == "gaussian":
                     gaussian += 1
-                    assert law.tau2 == tau_squared(H, W)
+                    assert law.tau2 == first_order(H, W).tau2
         assert gaussian > 0
 
     def test_defect_unchanged_by_limit_law(self, graphon_suite, small_patterns):
         for W in graphon_suite:
             for H in small_patterns.values():
-                before = regularity_defect(H, W)
+                before = first_order(H, W).defect
                 limit_law(H, W)
-                assert regularity_defect(H, W) == before
+                assert first_order(H, W).defect == before
 
 
 class TestSampleLimit:

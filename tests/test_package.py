@@ -5,6 +5,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +17,14 @@ import graphonlab
 from graphonlab import (
     KernelSpec,
     LabeledGraph,
+    Spectrum,
     as_step_graphon,
     automorphism_count,
     cli,
     conditional_density,
     count_copies,
     discretize,
+    first_order,
     hom_density,
     limit_law,
     spec_minus,
@@ -44,21 +47,18 @@ PUBLIC_NAMES = [
     "automorphism_count",
     "conditional_density",
     "count_copies",
-    "count_injective_homomorphisms",
     "discretize",
-    "dwh",
+    "first_order",
     "hom_density",
     "ks_distance",
     "limit_law",
     "mean_count",
-    "regularity_defect",
     "run_experiment",
     "sample_graph",
     "sample_limit",
     "sigma_squared",
     "spec_minus",
     "spectrum",
-    "tau_squared",
     "two_point_graphon",
 ]
 
@@ -75,11 +75,17 @@ def test_no_module_holds_join_machinery():
         importlib.import_module(f"graphonlab.{info.name}")
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphonlab"]
     for module in modules:
-        # nor a twin of limits._first_order, the one home of t, defect, tau2 and d_wh
+        # nor a twin of limits.first_order, the one home of t, defect, tau2 and
+        # d_wh, nor of count_copies, nor test-only API
         for name in ("vertex_join", "weak_edge_join", "strong_edge_join", "MultiGraph",
                      "_one_point_sum", "_density_and_one_point_sum", "_defect",
-                     "_tau_squared_of", "_degree_value", "is_regular"):
+                     "_tau_squared_of", "_degree_value", "is_regular", "_first_order",
+                     "regularity_defect", "tau_squared", "dwh",
+                     "count_injective_homomorphisms"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(LabeledGraph, "has_edge")
+    for name in ("max_residual", "apply", "__len__"):
+        assert not hasattr(Spectrum, name), f"Spectrum.{name}"
 
 
 def test_sampler_only_samples():
@@ -130,6 +136,7 @@ def test_only_the_regularity_tolerance_is_a_parameter():
     # truncation, degree matching and the pattern size bound are module
     # constants; regularity_tol is set by configs
     assert list(inspect.signature(limit_law).parameters) == ["H", "W", "regularity_tol"]
+    assert list(inspect.signature(first_order).parameters) == ["H", "W"]
     assert list(inspect.signature(spectrum).parameters) == ["kernel"]
     assert list(inspect.signature(spec_minus).parameters) == ["spec", "degree_value"]
     assert list(inspect.signature(automorphism_count).parameters) == ["H"]
@@ -144,3 +151,13 @@ def test_plain_pytest_finds_the_sources():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_readme_python_blocks_run():
+    # the library tour runs as printed, its blocks in order in one namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -411,10 +411,11 @@ class TestCli:
         ("kernel", {"pi": 1, "B": 2}),
         ("kernel", [[0.5]]),
         ("kernel", {"pi": [math.nan, 1.0], "B": [[0.5, 0.5], [0.5, 0.5]]}),
+        ("kernel", {"kind": "two_block", "p": 0.5}),  # the kind on the command line wins
         ("config", [1]),
         ("config", dict(small_config().to_json_dict(), pattern=[1])),
     ], ids=["edge-not-a-pair", "pattern-list", "kernel-scalars", "kernel-list",
-            "kernel-nan-weight", "config-list", "config-pattern-list"])
+            "kernel-nan-weight", "kernel-other-kind", "config-list", "config-pattern-list"])
     def test_malformed_json_exits_2(self, option, data, tmp_path, capsys):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
