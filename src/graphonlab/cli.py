@@ -20,7 +20,6 @@ import numpy as np
 from .density import hom_density, mean_count, two_point_graphon
 from .graphon import (
     DEFAULT_DISCRETIZATION,
-    KIND_PRODUCT,
     KernelSpec,
     StepGraphon,
     as_step_graphon,
@@ -75,11 +74,6 @@ def _load_kernel(ref: str) -> KernelSpec:
     return KernelSpec.from_json_dict(data)
 
 
-def _needs_refinement(spec: KernelSpec) -> bool:
-    # Only analytic kernels are discretized; step kernels are exact.
-    return spec.kind == KIND_PRODUCT
-
-
 def _cmd_density(args) -> int:
     H = _load_pattern(args.pattern)
     W = as_step_graphon(_load_kernel(args.kernel), args.m)
@@ -94,7 +88,7 @@ def _cmd_regularity(args) -> int:
     print(f"m = {args.m}")
     print(f"defect = {defect!r}")
     print(f"regular = {str(defect <= args.tol).lower()}")
-    if _needs_refinement(spec):
+    if spec.step_graphon() is None:  # only analytic kernels are discretized
         refined = first_order(H, discretize(spec, 2 * args.m)).defect
         print(f"refined_m = {2 * args.m}")
         print(f"refined_defect = {refined!r}")
@@ -126,7 +120,7 @@ def _cmd_constants(args) -> int:
     H = _load_pattern(args.pattern)
     spec = _load_kernel(args.kernel)
     lines = _constants_lines(H, as_step_graphon(spec, args.m), args.tol)
-    if _needs_refinement(spec):
+    if spec.step_graphon() is None:
         lines.append(f"refined_m = {2 * args.m}")
         lines += _constants_lines(H, discretize(spec, 2 * args.m), args.tol, prefix="refined_")
     print("\n".join(lines))
@@ -295,6 +289,13 @@ def _cmd_selftest(_args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _cells(text: str) -> int:
+    """The --m value: a positive number of cells."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphonlab",
@@ -305,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_kernel_opts(p):
         p.add_argument("--pattern", required=True, help="pattern JSON file or builtin name")
         p.add_argument("--kernel", required=True, help="constant:p | product | two_block:p | custom:FILE")
-        p.add_argument("--m", type=int, default=DEFAULT_DISCRETIZATION,
+        p.add_argument("--m", type=_cells, default=DEFAULT_DISCRETIZATION,
                        help="cells used to discretize analytic kernels")
 
     p = sub.add_parser("density", help="print t(pattern, kernel)")
@@ -326,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                         " two-point conditional kernel when --pattern is given)")
     p.add_argument("--pattern", help="optional pattern JSON file or builtin name")
     p.add_argument("--kernel", required=True)
-    p.add_argument("--m", type=int, default=DEFAULT_DISCRETIZATION)
+    p.add_argument("--m", type=_cells, default=DEFAULT_DISCRETIZATION)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("simulate", help="run a Monte Carlo experiment from a JSON config")

@@ -1,9 +1,11 @@
-"""Step graphons and parametric kernels.
+"""Step graphons and the kernels named by kind.
 
 A step graphon is a block partition of [0,1] (weights pi summing to 1)
 together with a symmetric block-value matrix B. Blocks are left-closed,
-and the last block is closed at 1. The same container also holds derived
-symmetric kernels whose values may leave [0,1].
+and the last block is closed at 1; derived kernels may leave [0,1].
+A `KernelSpec` is a kind and the values of its keys. Only the table
+`_KINDS` lists the kinds: each kind's JSON keys, and its exact step form,
+or None for the analytic kind, which is discretized on m uniform cells.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import numpy as np
 # Uniform cells used when an analytic kernel has to become a step graphon.
 DEFAULT_DISCRETIZATION = 256
 
-KIND_CONSTANT = "constant"
-KIND_PRODUCT = "product"
-KIND_TWO_BLOCK = "two_block"
-KIND_CUSTOM = "custom"
-
-# The keys besides "kind" of each kernel kind's JSON form.
-_KERNEL_KEYS = {KIND_CONSTANT: ("p",), KIND_PRODUCT: (), KIND_TWO_BLOCK: ("p",),
-                KIND_CUSTOM: ("pi", "B")}
+# kind: (JSON keys besides "kind", their values -> (block weights, block values) or None)
+_KINDS = {
+    "constant": (("p",), lambda p: ([1.0], [[p]])),
+    "product": ((), None),
+    "two_block": (("p",), lambda p: ([0.5, 0.5], [[p, 0.0], [0.0, p]])),
+    "custom": (("pi", "B"), lambda pi, B: (pi, B)),
+}
 
 
 def _json_int(value, what: str) -> int:
@@ -99,78 +100,70 @@ class StepGraphon:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Tagged description of a kernel: constant p, the product kernel
-    W(x,y) = xy, the two-block diagonal graphon, or an explicit grid."""
+    """A kernel named by its kind and the values of that kind's keys, in the
+    order `_KINDS` lists them: constant p, the product kernel W(x,y) = xy,
+    the two-block diagonal graphon, or an explicit grid ("pi", "B")."""
 
     kind: str
-    p: float | None = None
-    block_weights: tuple[float, ...] | None = None
-    values: tuple[tuple[float, ...], ...] | None = None
+    params: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind in (KIND_CONSTANT, KIND_TWO_BLOCK):
-            if self.p is None or not (0.0 <= self.p <= 1.0):
-                raise ValueError(f"{self.kind} kernel needs a parameter p in [0,1]")
-        elif self.kind == KIND_PRODUCT:
-            if self.p is not None:
-                raise ValueError("product kernel takes no parameter")
-        elif self.kind == KIND_CUSTOM:
-            if self.block_weights is None or self.values is None:
-                raise ValueError("custom kernel needs block weights and values")
-            # Constructor below validates the actual grid.
-            StepGraphon(np.asarray(self.block_weights), np.asarray(self.values))
-        else:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        entry = _KINDS.get(self.kind)
+        if entry is None or len(self.params) != len(entry[0]):
+            raise _kernel_error(self)
+        W = self.step_graphon()  # builds, and so validates, a custom grid
+        if W is not None and not W.is_probability_kernel:
+            raise ValueError(f"{self.kind} kernel values must lie in [0,1], got {self.params!r}")
 
     @classmethod
     def constant(cls, p: float) -> "KernelSpec":
-        return cls(KIND_CONSTANT, p=p)
+        return cls("constant", (p,))
 
     @classmethod
     def product(cls) -> "KernelSpec":
-        return cls(KIND_PRODUCT)
+        return cls("product")
 
     @classmethod
     def two_block_diagonal(cls, p: float) -> "KernelSpec":
         """Value p on [0,1/2]^2 and [1/2,1]^2, zero elsewhere."""
-        return cls(KIND_TWO_BLOCK, p=p)
+        return cls("two_block", (p,))
 
     @classmethod
     def custom(cls, block_weights: Sequence[float], values) -> "KernelSpec":
         vals = tuple(tuple(float(x) for x in row) for row in values)
-        return cls(KIND_CUSTOM, block_weights=tuple(float(w) for w in block_weights), values=vals)
+        return cls("custom", (tuple(float(w) for w in block_weights), vals))
+
+    def step_graphon(self) -> StepGraphon | None:
+        """The kernel's exact step form, or None for an analytic kernel."""
+        form = _KINDS[self.kind][1]
+        return None if form is None else StepGraphon(*form(*self.params))
 
     def to_json_dict(self) -> dict:
-        if self.kind == KIND_PRODUCT:
-            return {"kind": self.kind}
-        if self.kind == KIND_CUSTOM:
-            return {
-                "kind": self.kind,
-                "pi": list(self.block_weights),
-                "B": [list(row) for row in self.values],
-            }
-        return {"kind": self.kind, "p": self.p}
+        def plain(value):  # tuples become JSON lists
+            return [plain(x) for x in value] if isinstance(value, tuple) else value
+
+        return {"kind": self.kind, **dict(zip(_KINDS[self.kind][0], map(plain, self.params)))}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "KernelSpec":
         """The kernel of a JSON object holding its kind and exactly the keys of
-        that kind; a custom kernel's "pi" is a list and its "B" a list of rows."""
+        that kind; a value is a number or a list of values (a custom kernel's
+        "pi" is a list and its "B" a list of rows)."""
         kind = data.get("kind") if isinstance(data, Mapping) else None
-        keys = _KERNEL_KEYS.get(kind) if isinstance(kind, str) else None
+        keys = _KINDS[kind][0] if isinstance(kind, str) and kind in _KINDS else None
         if keys is None or {"kind", *keys} != set(data):
-            known = "; ".join(f"{k}: {', '.join(ks) or 'none'}" for k, ks in _KERNEL_KEYS.items())
-            raise ValueError(f'a kernel is an object with a "kind" and its keys ({known}), '
-                             f"got {data!r}")
-        if kind == KIND_PRODUCT:
-            return cls.product()
-        if kind == KIND_CUSTOM:
-            pi, B = data["pi"], data["B"]
-            if not (isinstance(pi, list) and isinstance(B, list)
-                    and all(isinstance(row, list) for row in B)):
-                raise ValueError(f'a custom kernel needs lists "pi" and "B", got {data!r}')
-            return cls.custom([_json_real(w, "pi entry") for w in pi],
-                              [[_json_real(x, "B entry") for x in row] for row in B])
-        return cls(kind, p=_json_real(data["p"], f"{kind} kernel p"))
+            raise _kernel_error(data)
+
+        def read(x, what: str):  # a list of values becomes a tuple
+            return tuple(read(v, what) for v in x) if isinstance(x, list) else _json_real(x, what)
+
+        return cls(kind, tuple(read(data[key], f"{kind} kernel {key}") for key in keys))
+
+
+def _kernel_error(got) -> ValueError:
+    """The refusal of a kernel that is not a known kind with exactly its keys."""
+    known = "; ".join(f"{kind}: {', '.join(keys) or 'none'}" for kind, (keys, _) in _KINDS.items())
+    return ValueError(f'a kernel is an object with a "kind" and its keys ({known}), got {got!r}')
 
 
 def _cell_average_step(breaks: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
@@ -186,36 +179,26 @@ def _cell_average_step(breaks: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
 
 def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     """Step graphon on m uniform blocks whose values are the exact cell
-    averages of the kernel.
-
-    For the product kernel the cell average of xy equals the product of the
-    cell midpoints, so edge densities are preserved exactly.
-    """
+    averages of the kernel: its one value for a one-block step kernel, and
+    for the analytic kernel xy the products of the cell midpoints, which
+    keep edge densities exact."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    pi = np.full(m, 1.0 / m)
-    if spec.kind == KIND_CONSTANT:
-        B = np.full((m, m), float(spec.p))
-    elif spec.kind == KIND_PRODUCT:
+    W = spec.step_graphon()
+    if W is None:
         mid = (np.arange(m) + 0.5) / m
         B = np.outer(mid, mid)
-    else:  # two_block and custom: the blocks of the exact step kernel
-        W = as_step_graphon(spec)
+    elif W.block_count == 1:
+        B = np.full((m, m), W.values[0, 0])
+    else:
         breaks = np.concatenate(([0.0], np.cumsum(W.block_weights)))
         breaks[-1] = 1.0
         B = _cell_average_step(breaks, W.values, m)
-    return StepGraphon(pi, B)
+    return StepGraphon(np.full(m, 1.0 / m), B)
 
 
 def as_step_graphon(spec: KernelSpec, m: int = DEFAULT_DISCRETIZATION) -> StepGraphon:
     """Exact step representation when the kernel already is a step function;
     otherwise the m-block discretization."""
-    if spec.kind == KIND_CONSTANT:
-        return StepGraphon(np.array([1.0]), np.array([[float(spec.p)]]))
-    if spec.kind == KIND_TWO_BLOCK:
-        return StepGraphon(
-            np.array([0.5, 0.5]), np.array([[spec.p, 0.0], [0.0, spec.p]], dtype=float)
-        )
-    if spec.kind == KIND_CUSTOM:
-        return StepGraphon(np.asarray(spec.block_weights), np.asarray(spec.values))
-    return discretize(spec, m)
+    W = spec.step_graphon()
+    return discretize(spec, m) if W is None else W

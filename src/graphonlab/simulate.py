@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -143,6 +143,9 @@ class ExperimentConfig:
         unknown = set(data) - {f.name for f in fields(cls)} - {"schema_version"}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
+        if missing:
+            raise ValueError(f"missing config keys {sorted(missing)}")
         version = _json_int(data.get("schema_version", SCHEMA_VERSION), "schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")

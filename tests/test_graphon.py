@@ -151,11 +151,15 @@ class TestDiscretize:
     @pytest.mark.parametrize("m", [1, 3, 4, 256])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_two_block_equals_its_custom_grid_bit_for_bit(self, p, m):
-        # both kinds are averaged from the blocks as_step_graphon gives them
-        a = discretize(KernelSpec.two_block_diagonal(p), m)
-        b = discretize(KernelSpec.custom([0.5, 0.5], [[p, 0.0], [0.0, p]]), m)
-        assert a.values.tobytes() == b.values.tobytes()
-        assert a.block_weights.tobytes() == b.block_weights.tobytes()
+        # each kind is averaged from the step form its spec gives, and a
+        # one-block grid is its value in every cell, as constant is
+        for kind, grid in [
+            (KernelSpec.two_block_diagonal(p), KernelSpec.custom([0.5, 0.5], [[p, 0.0], [0.0, p]])),
+            (KernelSpec.constant(p), KernelSpec.custom([1.0], [[p]])),
+        ]:
+            a, b = discretize(kind, m), discretize(grid, m)
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.block_weights.tobytes() == b.block_weights.tobytes()
 
     def test_product_degree_sup_error_halves(self):
         # first-order convergence of cell averages away from midpoints
@@ -176,6 +180,10 @@ class TestKernelSpec:
             KernelSpec.constant(1.5)
         with pytest.raises(ValueError):
             KernelSpec.two_block_diagonal(-0.1)
+        # a custom grid obeys the same range as p
+        for bad in (1.5, -0.5):
+            with pytest.raises(ValueError, match=r"\[0,1\]"):
+                KernelSpec.custom((0.5, 0.5), [[bad, 0.2], [0.2, 0.3]])
 
     def test_custom_validates_grid(self):
         with pytest.raises(ValueError):

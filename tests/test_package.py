@@ -106,6 +106,15 @@ def test_automorphisms_are_enumerated_only_for_the_counting_plan():
             assert "automorphism_count" not in source, info.name
 
 
+def test_kernel_kinds_are_known_only_to_graphon():
+    # the kinds table in graphon is the one place that lists them; everything
+    # else asks a KernelSpec for its step form
+    for info in pkgutil.iter_modules(graphonlab.__path__):
+        if info.name != "graphon":
+            source = inspect.getsource(importlib.import_module(f"graphonlab.{info.name}"))
+            assert "KIND_" not in source and "spec.kind" not in source, info.name
+
+
 def test_package_never_calls_einsum(monkeypatch, capsys):
     # numpy.einsum refuses only while package code runs; the test oracles
     # use it afterwards

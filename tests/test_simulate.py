@@ -181,11 +181,20 @@ class TestConfig:
         "key,value",
         [("n", 60.9), ("master_seed", True), ("replicates", "6"), ("ks_treshold", 0.5),
          ("variance_band", 10**400)],
+        ids=["n-60.9", "master_seed-True", "replicates-6", "ks_treshold-0.5",
+             "variance_band-10**400"],
     )
     def test_rejects_fields_it_would_change_or_ignore(self, key, value):
         data = small_config().to_json_dict()
         data[key] = value
         with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("key", ["pattern", "kernel", "n", "replicates", "master_seed"])
+    def test_refuses_a_missing_required_key(self, key):
+        data = small_config().to_json_dict()
+        del data[key]
+        with pytest.raises(ValueError, match=f"missing .*'{key}'"):
             ExperimentConfig.from_json_dict(data)
 
     def test_accepts_integral_floats(self):
@@ -412,16 +421,20 @@ class TestCli:
         ("kernel", [[0.5]]),
         ("kernel", {"pi": [math.nan, 1.0], "B": [[0.5, 0.5], [0.5, 0.5]]}),
         ("kernel", {"kind": "two_block", "p": 0.5}),  # the kind on the command line wins
+        ("kernel", {"pi": [0.5, 0.5], "B": [[1.5, 0.2], [0.2, 0.3]]}),
         ("config", [1]),
         ("config", dict(small_config().to_json_dict(), pattern=[1])),
     ], ids=["edge-not-a-pair", "pattern-list", "kernel-scalars", "kernel-list",
-            "kernel-nan-weight", "kernel-other-kind", "config-list", "config-pattern-list"])
+            "kernel-nan-weight", "kernel-other-kind", "kernel-value-above-one", "config-list",
+            "config-pattern-list"])
     def test_malformed_json_exits_2(self, option, data, tmp_path, capsys):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         argv = {
             "pattern": ["density", "--pattern", str(path), "--kernel", "constant:0.5"],
-            "kernel": ["constants", "--pattern", "k2", "--kernel", f"custom:{path}"],
+            # density computes on any kernel it is given, so a kernel refused
+            # here is refused when it is read
+            "kernel": ["density", "--pattern", "k2", "--kernel", f"custom:{path}"],
             "config": ["simulate", "--config", str(path), "--out", str(tmp_path / "out")],
         }[option]
         assert main(argv) == 2
@@ -445,6 +458,14 @@ class TestCli:
         cfg_path.write_text(json.dumps(dict(small_config().to_json_dict(), kernel=kernel)))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == captured.err
+
+    @pytest.mark.parametrize("kernel", ["constant:0.3", "product"])
+    def test_fewer_than_one_cell_exits_2(self, kernel, capsys):
+        for command in ("density", "regularity", "constants", "spectrum"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--pattern", "k2", "--kernel", kernel, "--m", "0"])
+            assert err.value.code == 2
+            assert "argument --m: must be at least 1" in capsys.readouterr().err
 
     def test_pattern_file_loading(self, tmp_path, capsys):
         pattern_path = tmp_path / "k2.json"
