@@ -59,19 +59,20 @@ def _load_pattern(ref: str) -> LabeledGraph:
 
 def _load_kernel(ref: str) -> KernelSpec:
     """Kernel from 'KIND' or 'KIND:ARG' (constant:p, product, two_block:p,
-    custom:FILE): an ARG that reads as a number is the parameter p, any other
-    names a JSON file holding the kernel's other keys. A file naming another
-    kind is refused."""
+    custom:FILE): an ARG that reads as a number is the kind's one value, any
+    other names a JSON file holding the kernel's other keys. A file naming
+    another kind is refused."""
     kind, sep, arg = ref.partition(":")
-    data = {"kind": kind}
-    if sep:
-        try:
-            data["p"] = float(arg)
-        except ValueError:
-            data = json.loads(Path(arg).read_text(encoding="utf-8"))
-            if isinstance(data, dict) and data.setdefault("kind", kind) != kind:
-                raise ValueError(f"kernel file {arg} names kind {data['kind']!r}, not {kind!r}")
-    return KernelSpec.from_json_dict(data)
+    if not sep:
+        return KernelSpec(kind)
+    try:
+        value = float(arg)
+    except ValueError:
+        data = json.loads(Path(arg).read_text(encoding="utf-8"))
+        if isinstance(data, dict) and data.setdefault("kind", kind) != kind:
+            raise ValueError(f"kernel file {arg} names kind {data['kind']!r}, not {kind!r}")
+        return KernelSpec.from_json_dict(data)
+    return KernelSpec(kind, (value,))
 
 
 def _cmd_density(args) -> int:
@@ -351,7 +352,7 @@ def main(argv=None) -> int:
     except DegenerateGraphonError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -93,10 +93,6 @@ class StepGraphon:
         idx = np.searchsorted(inner, arr, side="right")
         return idx if arr.ndim else int(idx)
 
-    def degree(self) -> np.ndarray:
-        """Block-constant degree function: d_i = sum_j pi_j B_ij."""
-        return self.values @ self.block_weights
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -111,6 +107,8 @@ class KernelSpec:
         entry = _KINDS.get(self.kind)
         if entry is None or len(self.params) != len(entry[0]):
             raise _kernel_error(self)
+        what = [f"{self.kind} kernel {key}" for key in entry[0]]
+        object.__setattr__(self, "params", tuple(map(_reals, self.params, what)))
         W = self.step_graphon()  # builds, and so validates, a custom grid
         if W is not None and not W.is_probability_kernel:
             raise ValueError(f"{self.kind} kernel values must lie in [0,1], got {self.params!r}")
@@ -130,8 +128,7 @@ class KernelSpec:
 
     @classmethod
     def custom(cls, block_weights: Sequence[float], values) -> "KernelSpec":
-        vals = tuple(tuple(float(x) for x in row) for row in values)
-        return cls("custom", (tuple(float(w) for w in block_weights), vals))
+        return cls("custom", (tuple(block_weights), tuple(map(tuple, values))))
 
     def step_graphon(self) -> StepGraphon | None:
         """The kernel's exact step form, or None for an analytic kernel."""
@@ -150,14 +147,26 @@ class KernelSpec:
         that kind; a value is a number or a list of values (a custom kernel's
         "pi" is a list and its "B" a list of rows)."""
         kind = data.get("kind") if isinstance(data, Mapping) else None
-        keys = _KINDS[kind][0] if isinstance(kind, str) and kind in _KINDS else None
-        if keys is None or {"kind", *keys} != set(data):
+        if not isinstance(kind, str):
             raise _kernel_error(data)
+        given = [key for key in data if key != "kind"]
+        keys = _KINDS[kind][0] if kind in _KINDS else given
+        if set(keys) != set(given):
+            if len(keys) == len(given):
+                raise _kernel_error(data)
+            keys = given  # the constructor refuses the wrong number of values
+        return cls(kind, tuple(data[key] for key in keys))
 
-        def read(x, what: str):  # a list of values becomes a tuple
-            return tuple(read(v, what) for v in x) if isinstance(x, list) else _json_real(x, what)
 
-        return cls(kind, tuple(read(data[key], f"{kind} kernel {key}") for key in keys))
+def _reals(value, what: str):
+    """A finite number as a float, or a rectangular nesting of lists or tuples
+    of them as nested tuples; anything else is refused."""
+    if not isinstance(value, (list, tuple)):
+        return _json_real(value, what)
+    items = tuple(_reals(x, what) for x in value)
+    if len({len(x) if isinstance(x, tuple) else None for x in items}) > 1:
+        raise ValueError(f"{what} must be rectangular, got {value!r}")
+    return items
 
 
 def _kernel_error(got) -> ValueError:

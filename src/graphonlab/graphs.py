@@ -79,10 +79,6 @@ class LabeledGraph:
         edges = [(i, i + 1) for i in range(1, length)] + [(1, length)]
         return cls.from_edges(length, edges)
 
-    @classmethod
-    def empty(cls, vertex_count: int) -> "LabeledGraph":
-        return cls(vertex_count, frozenset())
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

@@ -15,8 +15,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
@@ -120,19 +121,11 @@ class ExperimentConfig:
             raise ValueError("variance_band must be finite and > 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "pattern": self.pattern.to_json_dict(),
-            "kernel": self.kernel.to_json_dict(),
-            "discretization": self.discretization,
-            "n": self.n,
-            "replicates": self.replicates,
-            "reference_draws": self.reference_draws,
-            "master_seed": self.master_seed,
-            "regularity_tol": self.regularity_tol,
-            "ks_threshold": self.ks_threshold,
-            "variance_band": self.variance_band,
-        }
+        data = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):  # the pattern and the kernel write their own JSON
+            value = getattr(self, f.name)
+            data[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+        return data
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentConfig":
@@ -149,18 +142,10 @@ class ExperimentConfig:
         version = _json_int(data.get("schema_version", SCHEMA_VERSION), "schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
-        ints = ("discretization", "reference_draws")
-        reals = ("regularity_tol", "ks_threshold", "variance_band")
-        kwargs = {key: _json_int(data[key], key) for key in ints if key in data}
-        kwargs.update({key: _json_real(data[key], key) for key in reals if key in data})
-        return cls(
-            pattern=LabeledGraph.from_json_dict(data["pattern"]),
-            kernel=KernelSpec.from_json_dict(data["kernel"]),
-            n=_json_int(data["n"], "n"),
-            replicates=_json_int(data["replicates"], "replicates"),
-            master_seed=_json_int(data["master_seed"], "master_seed"),
-            **kwargs,
-        )
+        readers = {int: _json_int, float: _json_real}  # the pattern and the kernel read themselves
+        return cls(**{key: readers[kind](data[key], key) if kind in readers
+                      else kind.from_json_dict(data[key])
+                      for key, kind in get_type_hints(cls).items() if key in data})
 
 
 @dataclass(frozen=True)
@@ -206,6 +191,7 @@ class ExperimentResult:
         return self.mean_pass and self.ks_pass and self.variance_pass
 
     def to_json_dict(self) -> dict:
+        header, *rows = self._table()
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_json_dict(),
@@ -224,16 +210,14 @@ class ExperimentResult:
                 "variance_within_band": self.variance_pass,
                 "passed": self.passed,
             },
-            "records": [
-                {
-                    "replicate": i,
-                    "seed": r.seed,
-                    "raw_count": r.raw_count,
-                    "normalized": r.normalized,
-                }
-                for i, r in enumerate(self.records)
-            ],
+            "records": [dict(zip(header, row)) for row in rows],
         }
+
+    def _table(self) -> list[list]:
+        """A header, then a row per replicate: its index and SampleRecord's fields."""
+        names = [f.name for f in fields(SampleRecord)]
+        rows = ([i, *(getattr(r, name) for name in names)] for i, r in enumerate(self.records))
+        return [["replicate", *names], *rows]
 
     def to_canonical_json(self) -> str:
         """Deterministic serialization: sorted keys, no whitespace, shortest
@@ -248,10 +232,7 @@ class ExperimentResult:
         result_path.write_text(self.to_canonical_json(), encoding="utf-8")
         csv_path = out / "replicates.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "seed", "raw_count", "normalized"])
-            for i, r in enumerate(self.records):
-                writer.writerow([i, r.seed, r.raw_count, repr(r.normalized)])
+            csv.writer(fh).writerows(self._table())  # str(x), which is repr(x) for a float
         return result_path, csv_path
 
 
@@ -266,13 +247,9 @@ def replicate_seed(master_seed: int, index: int) -> int:
     return stream_seed(master_seed, _REPLICATE_STREAM, index)
 
 
-def reference_seed(master_seed: int) -> int:
-    return stream_seed(master_seed, _REFERENCE_STREAM)
-
-
-def _count_chunk(args) -> list[int]:
-    H, W, n, seeds = args
-    return [count_copies(H, sample_adjacency(W, n, s)) for s in seeds]
+def _count(H: LabeledGraph, W: StepGraphon, n: int, seed: int) -> int:
+    """The copies of H in the W-random graph on n vertices drawn from seed."""
+    return count_copies(H, sample_adjacency(W, n, seed))
 
 
 def _worker_count(replicates: int) -> int:
@@ -288,19 +265,6 @@ def _worker_count(replicates: int) -> int:
     return min(workers, replicates, len(os.sched_getaffinity(0)))
 
 
-def _replicate_counts(
-    H: LabeledGraph, W: StepGraphon, n: int, seeds: Sequence[int]
-) -> list[int]:
-    workers = _worker_count(len(seeds))
-    if workers == 1:
-        return _count_chunk((H, W, n, seeds))
-    size = math.ceil(len(seeds) / workers)
-    chunks = [(H, W, n, seeds[i : i + size]) for i in range(0, len(seeds), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_count_chunk, chunks))
-    return [c for part in parts for c in part]
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the replicates, draw the reference sample, and score the run.
 
@@ -314,12 +278,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     n = config.n
     mu = mean_count(H, W, n)
     seeds = [replicate_seed(config.master_seed, i) for i in range(config.replicates)]
-    counts = _replicate_counts(H, W, n, seeds)
+    count, workers = partial(_count, H, W, n), _worker_count(len(seeds))
+    if workers == 1:
+        counts = list(map(count, seeds))
+    else:  # one contiguous chunk of seeds per worker, counts in seed order
+        with ProcessPoolExecutor(workers) as pool:
+            counts = list(pool.map(count, seeds, chunksize=math.ceil(len(seeds) / workers)))
     records = tuple(_record(H, n, s, c, mu, law) for s, c in zip(seeds, counts))
 
     normalized = np.array([r.normalized for r in records])
     raw = np.array([r.raw_count for r in records], dtype=float)
-    reference = sample_limit(law, reference_seed(config.master_seed), config.reference_draws)
+    reference_seed = stream_seed(config.master_seed, _REFERENCE_STREAM)
+    reference = sample_limit(law, reference_seed, config.reference_draws)
 
     raw_std = float(np.std(raw, ddof=1)) if raw.size > 1 else 0.0
     se = raw_std / math.sqrt(raw.size) if raw.size > 1 else float("inf")

@@ -41,6 +41,16 @@ def closed_form(name: str) -> bool:
     return CLOSED_FORMS[name].holds()
 
 
+def degree(W: StepGraphon) -> np.ndarray:
+    """Block-constant degree function of W: d_i = sum_j pi_j B_ij."""
+    return W.values @ W.block_weights
+
+
+def empty_graph(vertex_count: int) -> LabeledGraph:
+    """The pattern with vertex_count vertices and no edges."""
+    return LabeledGraph(vertex_count, frozenset())
+
+
 def random_step_graphon(rng: np.random.Generator, max_blocks: int = 4) -> StepGraphon:
     """Random graphon with 1..max_blocks blocks, weights bounded away from 0
     and values bounded away from {0, 1} so nothing is degenerate."""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import degree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,23 +97,23 @@ class TestEvaluate:
 
 class TestDegree:
     def test_constant(self):
-        assert np.allclose(as_step_graphon(KernelSpec.constant(0.3)).degree(), 0.3)
+        assert np.allclose(degree(as_step_graphon(KernelSpec.constant(0.3))), 0.3)
 
     def test_two_block_is_half_p(self):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.8))
-        assert np.allclose(W.degree(), 0.4, atol=1e-15)
+        assert np.allclose(degree(W), 0.4, atol=1e-15)
 
     def test_discretized_product_close_to_half_x(self):
         m = 64
         W = discretize(KernelSpec.product(), m)
         mid = (np.arange(m) + 0.5) / m
-        assert np.max(np.abs(W.degree() - mid / 2)) < 1e-12
+        assert np.max(np.abs(degree(W) - mid / 2)) < 1e-12
 
     def test_discretized_constant_degree_exact(self):
         # machine precision: the matvec can be off by an ulp
         for m in (1, 3, 7, 256):
             W = discretize(KernelSpec.constant(0.37), m)
-            assert np.max(np.abs(W.degree() - 0.37)) <= 1e-15
+            assert np.max(np.abs(degree(W) - 0.37)) <= 1e-15
 
 
 class TestDiscretize:
@@ -136,7 +137,7 @@ class TestDiscretize:
         W = discretize(KernelSpec.two_block_diagonal(0.8), 3)
         # middle cell covers [1/3, 2/3]^2, half of it in each diagonal block
         assert W.values[1, 1] == pytest.approx(0.8 * 2 * (1 / 6) ** 2 * 9, abs=1e-12)
-        assert np.allclose(W.degree(), 0.4, atol=1e-12)
+        assert np.allclose(degree(W), 0.4, atol=1e-12)
 
     def test_rejects_zero_cells(self):
         with pytest.raises(ValueError):
@@ -167,7 +168,7 @@ class TestDiscretize:
 
         def sup_error(m: int) -> float:
             W = discretize(KernelSpec.product(), m)
-            d = W.degree()[np.asarray(W.block_index(grid))]
+            d = degree(W)[np.asarray(W.block_index(grid))]
             return float(np.max(np.abs(d - grid / 2)))
 
         e32, e64 = sup_error(32), sup_error(64)
@@ -201,13 +202,19 @@ class TestKernelSpec:
     def test_json_round_trip(self, spec):
         assert KernelSpec.from_json_dict(spec.to_json_dict()) == spec
 
-    @pytest.mark.parametrize("data", [
-        {"kind": "product", "p": 0.5}, {"kind": "constant", "p": "0.5"},
-        {"kind": "two_block", "p": True}, {"kind": "custom", "pi": 1, "B": 2},
-        {"kind": "custom", "pi": [1.0], "B": [["1"]]}, {"kind": ["custom"]}, [[0.5]],
-    ])
-    def test_json_refuses_what_it_would_change_or_ignore(self, data):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("data,message", [
+        ({"kind": "product", "p": 0.5}, "a kernel is an object"),
+        ({"kind": "constant", "p": "0.5"}, "constant kernel p must be a finite number"),
+        ({"kind": "two_block", "p": True}, "two_block kernel p must be a finite number"),
+        ({"kind": "custom", "pi": 1, "B": 2}, "block_weights must be a non-empty vector"),
+        ({"kind": "custom", "pi": [1.0], "B": [["1"]]}, "custom kernel B must be a finite number"),
+        ({"kind": ["custom"]}, "a kernel is an object"),
+        ([[0.5]], "a kernel is an object"),
+        ({"kind": "custom", "pi": [0.5, 0.5], "B": [[0.5], [0.5, 0.5]]},
+         "custom kernel B must be rectangular"),
+    ], ids=[f"data{i}" for i in range(8)])
+    def test_json_refuses_what_it_would_change_or_ignore(self, data, message):
+        with pytest.raises(ValueError, match=message):
             KernelSpec.from_json_dict(data)
 
     def test_as_step_graphon_exact_for_step_kinds(self):

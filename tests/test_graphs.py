@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ZOO
+from conftest import ZOO, empty_graph
 from counting_oracles import (
     backtrack_injective_homomorphisms,
     copy_edge_sets,
@@ -83,7 +83,7 @@ class TestAutomorphisms:
         assert automorphism_count(PATH4) == 2
 
     def test_no_edges_gives_full_symmetric_group(self):
-        assert automorphism_count(LabeledGraph.empty(4)) == 24
+        assert automorphism_count(empty_graph(4)) == 24
 
     def test_brute_force_bound(self, monkeypatch):
         # PATTERN_VERTEX_BOUND, the one size limit of every pattern function,
@@ -97,7 +97,7 @@ class TestAutomorphisms:
         with monkeypatch.context() as patched:
             patched.setattr(itertools, "permutations", refuse)
             for call in (lambda: automorphism_count(LabeledGraph.cycle(9)),
-                         lambda: automorphism_count(LabeledGraph.empty(11)),
+                         lambda: automorphism_count(empty_graph(11)),
                          lambda: mean_count(LabeledGraph.cycle(10), W, 20)):
                 with pytest.raises(ValueError, match="limited to 8 vertices"):
                     call()
@@ -239,10 +239,10 @@ class TestCountCopies:
 
     def test_pattern_size_bound(self):
         with pytest.raises(ValueError):
-            count_copies(LabeledGraph.empty(9), LabeledGraph.empty(12))
+            count_copies(empty_graph(9), empty_graph(12))
 
     def test_single_vertex_pattern(self):
-        assert count_copies(LabeledGraph.empty(1), K4) == 4
+        assert count_copies(empty_graph(1), K4) == 4
 
     @pytest.mark.parametrize("name", sorted(ZOO))
     def test_zoo_matches_exhaustive_enumeration(self, name):
@@ -304,10 +304,10 @@ class TestCountCopies:
 
     def test_exactness_bound(self, monkeypatch):
         # 98^8 < 2^53 <= 99^8; an edgeless pattern keeps the count cheap.
-        H = LabeledGraph.empty(8)
+        H = empty_graph(8)
         assert 98**8 < graphs.EXACT_COUNT_BOUND <= 99**8
         aut = H.counting_plan.automorphisms
-        assert count_copies(H, LabeledGraph.empty(98)) * aut == math.perm(98, 8)
+        assert count_copies(H, empty_graph(98)) * aut == math.perm(98, 8)
 
         def refuse(*args):
             raise AssertionError("counting started above the exactness bound")
@@ -340,9 +340,9 @@ class TestCountCopies:
 def test_falling_factorial():
     # an edgeless pattern maps injectively in (n)_v = n (n-1) ... (n-v+1) ways
     for v, n, expected in ((3, 10, 720), (1, 5, 5)):
-        H = LabeledGraph.empty(v)
-        assert count_copies(H, LabeledGraph.empty(n)) * H.counting_plan.automorphisms == expected
-    assert count_copies(LabeledGraph.empty(3), LabeledGraph.empty(10)) == math.comb(10, 3)
+        H = empty_graph(v)
+        assert count_copies(H, empty_graph(n)) * H.counting_plan.automorphisms == expected
+    assert count_copies(empty_graph(3), empty_graph(10)) == math.comb(10, 3)
 
 
 # randomly shaped small patterns for the property checks below

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import closed_form
+from conftest import closed_form, degree, empty_graph
 from limit_oracles import (
     einsum_density,
     sigma_squared_by_joins,
@@ -67,7 +67,7 @@ class TestTauSquared:
 
     def test_edge_pattern_is_degree_variance(self, graphon_suite):
         for W in graphon_suite[:8]:
-            d = W.degree()
+            d = degree(W)
             var = float(W.block_weights @ d**2 - (W.block_weights @ d) ** 2)
             assert first_order(K2, W).tau2 == pytest.approx(var, abs=1e-12)
 
@@ -145,7 +145,7 @@ class TestSigmaSquared:
 
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
-            sigma_squared(LabeledGraph.empty(2), as_step_graphon(KernelSpec.constant(0.5)))
+            sigma_squared(empty_graph(2), as_step_graphon(KernelSpec.constant(0.5)))
 
 
 class TestLimitLaw:

@@ -18,6 +18,7 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     Spectrum,
+    StepGraphon,
     as_step_graphon,
     automorphism_count,
     cli,
@@ -81,9 +82,11 @@ def test_no_module_holds_join_machinery():
                      "_one_point_sum", "_density_and_one_point_sum", "_defect",
                      "_tau_squared_of", "_degree_value", "is_regular", "_first_order",
                      "regularity_defect", "tau_squared", "dwh",
-                     "count_injective_homomorphisms"):
+                     "count_injective_homomorphisms", "_count_chunk"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert not hasattr(LabeledGraph, "has_edge")
+    for name in ("has_edge", "empty"):
+        assert not hasattr(LabeledGraph, name), f"LabeledGraph.{name}"
+    assert not hasattr(StepGraphon, "degree")
     for name in ("max_residual", "apply", "__len__"):
         assert not hasattr(Spectrum, name), f"Spectrum.{name}"
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,15 @@ class TestConfig:
         cfg = small_config()
         again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
         assert again == cfg
+        # every field off its default, the kernel a custom grid
+        off = small_config(kernel=SKEWED, pattern=K3, n=41, replicates=61, master_seed=72,
+                           discretization=17, reference_draws=2_001, regularity_tol=1e-9,
+                           ks_threshold=0.07, variance_band=0.3)
+        for f in fields(off):
+            assert getattr(off, f.name) not in (getattr(cfg, f.name), f.default), f.name
+        data = off.to_json_dict()
+        assert set(data) == {f.name for f in fields(ExperimentConfig)} | {"schema_version"}
+        assert ExperimentConfig.from_json_dict(json.loads(json.dumps(data))) == off
 
     def test_rejects_unknown_schema_version(self):
         data = small_config().to_json_dict()
@@ -243,6 +253,14 @@ class TestRunExperiment:
         cpus(monkeypatch, 3)
         pooled = run_experiment(cfg).to_canonical_json()
         assert pooled == serial
+        # 5 replicates over 2 workers: chunks of 3 and 2
+        cfg = small_config(replicates=5, n=25)
+        monkeypatch.delenv("GRAPHONLAB_THREADS")
+        serial = run_experiment(cfg)
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "2")
+        pooled = run_experiment(cfg)
+        assert [r.raw_count for r in pooled.records] == [r.raw_count for r in serial.records]
+        assert pooled.to_canonical_json() == serial.to_canonical_json()
 
     def test_degenerate_kernel_raises(self):
         with pytest.raises(DegenerateGraphonError):
@@ -442,15 +460,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("ref", ["constant", "product:0.3", "ring:0.2", "nonsense"])
+    @pytest.mark.parametrize("ref", ["constant", "product:0.3", "ring:0.2", "nonsense",
+                                     "constant:nan", "constant:inf"])
     def test_bad_kernel_exits_2_with_the_config_message(self, ref, tmp_path, capsys):
         # --kernel and a config file's "kernel" are refused by the same check,
-        # which names every kind and its keys
+        # which names every kind and its keys, or the kind of a value that is
+        # not finite
         assert main(["density", "--pattern", "k2", "--kernel", ref]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: a kernel is an object")
-        assert "(constant: p; product: none; two_block: p; custom: pi, B)" in captured.err
+        if ref.startswith("constant:"):
+            assert captured.err.startswith("error: constant kernel p must be a finite number")
+        else:
+            assert captured.err.startswith("error: a kernel is an object")
+            assert "(constant: p; product: none; two_block: p; custom: pi, B)" in captured.err
         assert captured.err.count("\n") == 1
         kind, sep, p = ref.partition(":")
         kernel = {"kind": kind, **({"p": float(p)} if sep else {})}
