@@ -6,6 +6,9 @@ count's sum over labellings, with blocks in place of host vertices. It is
 evaluated by the vertex elimination that counts copies (graphs._eliminate),
 with the block weights as unary factors and the kernel on every edge; a
 conditional density keeps its marked vertices as axes of the result.
+Densities on one graphon share its two-step product B diag(pi) B, built
+once per orientation of its factors; sharing is exact because B is exactly
+symmetric and each orientation is built as a contraction would build it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> n
     if v > PATTERN_VERTEX_BOUND:
         raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
     unary = {u: np.ones(k) if u in marks else W.block_weights for u in range(1, v + 1)}
-    return _eliminate(unary, dict.fromkeys(F.edges, W.values), k, marks)
+    return _eliminate(unary, dict.fromkeys(F.edges, W.values), k, marks, W)
 
 
 def hom_density(F: LabeledGraph, W: StepGraphon) -> float:

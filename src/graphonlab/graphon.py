@@ -13,6 +13,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -93,6 +94,26 @@ class StepGraphon:
         idx = np.searchsorted(inner, arr, side="right")
         return idx if arr.ndim else int(idx)
 
+    @cached_property
+    def _two_steps(self) -> dict:
+        """Read-only products B diag(pi) B by orientation; see _two_step."""
+        return {}
+
+    def _two_step(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """(left * pi) @ right, with `left` and `right` each this graphon's
+        values or their transpose: built once per orientation and kept with
+        the graphon, read-only. B is exactly symmetric, so the orientations
+        multiply the same numbers, but BLAS may sum them in another order;
+        each is built as a contraction would build it, and orientations
+        whose products are equal share one array."""
+        key = (left is not self.values, right is not self.values)
+        if key not in self._two_steps:
+            P = (left * self.block_weights) @ right
+            P = next((Q for Q in self._two_steps.values() if np.array_equal(Q, P)), P)
+            P.setflags(write=False)
+            self._two_steps[key] = P
+        return self._two_steps[key]
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -109,7 +130,10 @@ class KernelSpec:
             raise _kernel_error(self)
         what = [f"{self.kind} kernel {key}" for key in entry[0]]
         object.__setattr__(self, "params", tuple(map(_reals, self.params, what)))
-        W = self.step_graphon()  # builds, and so validates, a custom grid
+        try:
+            W = self.step_graphon()  # builds, and so validates, a custom grid
+        except ValueError as err:
+            raise ValueError(f"{self.kind} kernel {', '.join(entry[0])}: {err}") from err
         if W is not None and not W.is_probability_kernel:
             raise ValueError(f"{self.kind} kernel values must lie in [0,1], got {self.params!r}")
 

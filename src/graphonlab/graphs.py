@@ -183,7 +183,7 @@ def _rows(pair: dict, a: int, b: int) -> np.ndarray:
     return M if a < b else M.T
 
 
-def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = ()):
+def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = (), W=None):
     """Sum over maps of the unmarked pattern vertices into `size` host
     vertices (or blocks) of the product of the unary factors (None: all
     ones) and the pairwise factors, keyed (a, b) with a < b and rows indexed
@@ -195,6 +195,10 @@ def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = ()):
     degree >= 3, the one of largest degree is pinned to each host vertex in
     turn. Counting on a 0/1 matrix, every intermediate entry is an integer
     of at most n^|V(H)|, which float64 holds exactly under EXACT_COUNT_BOUND.
+
+    W is the step graphon whose values and block weights the factors are
+    drawn from, if any: a vertex of degree 2 with W's block weights between
+    two of W's own value matrices takes W's cached product B diag(pi) B.
     """
     unary = dict(unary)
     pair = dict(pair)
@@ -208,7 +212,7 @@ def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = ()):
         u = min(free, key=lambda w: len(nbrs[w]))
         degree = len(nbrs[u])
         if degree >= 3:
-            return total * _pin(unary, pair, nbrs, size, marks)
+            return total * _pin(unary, pair, nbrs, size, marks, W)
         f = unary.pop(u)
         if degree == 0:
             total *= size if f is None else f.sum()
@@ -219,12 +223,16 @@ def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = ()):
             unary[w] = message if unary[w] is None else unary[w] * message
         else:
             w, x = nbrs[u]
-            left = _rows(pair, w, u)
-            P = (left if f is None else left * f) @ _rows(pair, u, x)
+            left, right = _rows(pair, w, u), _rows(pair, u, x)
+            shared = W is not None and f is W.block_weights and all(
+                M is W.values or M.base is W.values for M in (left, right))
+            P = W._two_step(left, right) if shared else (left if f is None else left * f) @ right
             if w > x:
                 P = P.T
             k = _sorted_edge(w, x)
             if k in pair:
+                if shared:  # read-only: scale a copy, laid out as P is
+                    P = P.copy(order="K")
                 P *= pair[k]  # P is a fresh product, so no other factor changes
             pair[k] = P
     for u in marks:  # only marks remain: place each factor on its axes
@@ -235,7 +243,7 @@ def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = ()):
     return total
 
 
-def _pin(unary: dict, pair: dict, nbrs: dict, size: int, marks: tuple[int, ...]):
+def _pin(unary: dict, pair: dict, nbrs: dict, size: int, marks: tuple[int, ...], W):
     """Sum of _eliminate over every host vertex for the unmarked vertex of
     largest degree. With no marks, when that vertex is adjacent to every
     other remaining vertex, each of them lies in its neighbourhood and the
@@ -264,7 +272,7 @@ def _pin(unary: dict, pair: dict, nbrs: dict, size: int, marks: tuple[int, ...])
         sub_unary = dict(unary)
         for w, R in rows.items():
             sub_unary[w] = R[a, keep] if unary[w] is None else unary[w][keep] * R[a, keep]
-        h = _eliminate(sub_unary, sub_pair, sub_size, marks)
+        h = _eliminate(sub_unary, sub_pair, sub_size, marks, W)
         # not +=, which with no marks would add in place to a slow 0-d array
         total = total + (h if f is None else f[a] * h)
     return total

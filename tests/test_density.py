@@ -20,14 +20,30 @@ from graphonlab import (
     first_order,
     hom_density,
     mean_count,
+    sigma_squared,
     two_point_graphon,
 )
+from graphonlab import density
+from graphonlab.graphs import _eliminate
 
 K2 = LabeledGraph.complete(2)
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
 
 CONST_HALF = as_step_graphon(KernelSpec.constant(0.5))
+
+# Patterns whose contractions sum a vertex of degree 2 between two kernel
+# factors, as t, a one- or two-point conditional, or an edge-deleted
+# conditional of sigma2, and K4, which pins.
+SHARED_PRODUCT_PATTERNS = {
+    "k3": K3,
+    "path3": LabeledGraph.path(3),
+    "star3": LabeledGraph.star(3),
+    "cycle4": LabeledGraph.cycle(4),
+    "paw": LabeledGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+    "diamond": ZOO["diamond"],
+    "k4": ZOO["k4"],
+}
 
 
 class TestHomDensity:
@@ -269,3 +285,44 @@ class TestTwoPointGraphon:
     def test_rejects_single_vertex_pattern(self):
         with pytest.raises(ValueError):
             two_point_graphon(empty_graph(1), CONST_HALF)
+
+
+def _random_custom(k: int) -> KernelSpec:
+    """A seeded custom kernel on k blocks of unequal weight."""
+    rng = np.random.default_rng(k)
+    weights = rng.random(k) + 0.25
+    values = rng.uniform(0.05, 0.95, size=(k, k))
+    return KernelSpec.custom(weights / weights.sum(), (values + values.T) / 2.0)
+
+
+def _results(H: LabeledGraph, W: StepGraphon) -> list:
+    """Everything the density layer derives from (H, W): t, every one- and
+    two-point conditional, first_order, sigma2 and the two-point kernel."""
+    vertices = range(1, H.vertex_count + 1)
+    marks = [(a,) for a in vertices] + list(itertools.permutations(vertices, 2))
+    return [hom_density(H, W), *(conditional_density(H, mk, W) for mk in marks),
+            *first_order(H, W), sigma_squared(H, W), two_point_graphon(H, W).values]
+
+
+class TestSharedTwoStepProduct:
+    @pytest.mark.parametrize("spec", [
+        KernelSpec.product(), _random_custom(3), _random_custom(7), _random_custom(20),
+    ], ids=["product-m64", "custom-k3", "custom-k7", "custom-k20"])
+    def test_warm_graphon_gives_the_bits_of_a_fresh_one(self, spec, monkeypatch):
+        # the product B diag(pi) B that a graphon keeps for every pattern
+        # must give each pattern the bits it gets on a graphon of its own,
+        # and those of the elimination that builds every product itself
+        names = list(SHARED_PRODUCT_PATTERNS)
+        for order in (names, names[::-1]):
+            W = as_step_graphon(spec, 64)
+            for name in order:
+                _results(SHARED_PRODUCT_PATTERNS[name], W)
+            for name in order:
+                H = SHARED_PRODUCT_PATTERNS[name]
+                fresh = _results(H, StepGraphon(W.block_weights, W.values))
+                warm = _results(H, W)
+                assert all(np.array_equal(a, b) for a, b in zip(warm, fresh)), name
+                with monkeypatch.context() as patch:  # no graphon, so no shared product
+                    patch.setattr(density, "_eliminate", lambda *args: _eliminate(*args[:4]))
+                    unshared = _results(H, W)
+                assert all(np.array_equal(a, b) for a, b in zip(warm, unshared)), name

@@ -8,7 +8,16 @@ from conftest import degree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphonlab import KernelSpec, StepGraphon, as_step_graphon, discretize
+from graphonlab import (
+    KernelSpec,
+    LabeledGraph,
+    StepGraphon,
+    as_step_graphon,
+    discretize,
+    first_order,
+    sigma_squared,
+    two_point_graphon,
+)
 
 
 def evaluate(W: StepGraphon, x: float, y: float) -> float:
@@ -37,6 +46,21 @@ class TestStepGraphon:
         assert as_step_graphon(KernelSpec.constant(0.3)).is_probability_kernel
         derived = StepGraphon(np.array([1.0]), np.array([[1.5]]))
         assert not derived.is_probability_kernel
+
+    def test_two_step_products_are_the_one_read_only_cache(self):
+        # densities share B diag(pi) B, one array per orientation of its
+        # factors built as a contraction builds it; nothing else is kept
+        W = discretize(KernelSpec.product(), 16)
+        for H in (LabeledGraph.cycle(4), LabeledGraph.path(3), LabeledGraph.star(3)):
+            first_order(H, W), sigma_squared(H, W), two_point_graphon(H, W)
+        assert set(vars(W)) == {"block_weights", "values", "_two_steps"}
+        assert W._two_steps
+        for (left_t, right_t), P in W._two_steps.items():
+            left, right = (W.values.T if t else W.values for t in (left_t, right_t))
+            assert np.array_equal(P, (left * W.block_weights) @ right)
+            assert not P.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                P *= 2.0
 
     @pytest.mark.parametrize("pi,B", [
         ([math.nan, 1.0], [[0.5, 0.5], [0.5, 0.5]]),
@@ -206,13 +230,16 @@ class TestKernelSpec:
         ({"kind": "product", "p": 0.5}, "a kernel is an object"),
         ({"kind": "constant", "p": "0.5"}, "constant kernel p must be a finite number"),
         ({"kind": "two_block", "p": True}, "two_block kernel p must be a finite number"),
-        ({"kind": "custom", "pi": 1, "B": 2}, "block_weights must be a non-empty vector"),
+        ({"kind": "custom", "pi": 1, "B": 2},
+         "custom kernel pi, B: block_weights must be a non-empty vector"),
         ({"kind": "custom", "pi": [1.0], "B": [["1"]]}, "custom kernel B must be a finite number"),
         ({"kind": ["custom"]}, "a kernel is an object"),
         ([[0.5]], "a kernel is an object"),
         ({"kind": "custom", "pi": [0.5, 0.5], "B": [[0.5], [0.5, 0.5]]},
          "custom kernel B must be rectangular"),
-    ], ids=[f"data{i}" for i in range(8)])
+        ({"kind": "custom", "pi": [0.5, 0.5], "B": [[0.5]]},
+         "custom kernel pi, B: values must be a k x k matrix"),
+    ], ids=[f"data{i}" for i in range(9)])
     def test_json_refuses_what_it_would_change_or_ignore(self, data, message):
         with pytest.raises(ValueError, match=message):
             KernelSpec.from_json_dict(data)
