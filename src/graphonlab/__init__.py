@@ -13,7 +13,7 @@ from .graphon import (
     as_step_graphon,
     discretize,
 )
-from .graphs import LabeledGraph, automorphism_count, count_copies
+from .graphs import LabeledGraph, count_copies
 from .limits import (
     REGULARITY_TOL,
     DegenerateGraphonError,
@@ -48,7 +48,6 @@ __all__ = [
     "Spectrum",
     "StepGraphon",
     "as_step_graphon",
-    "automorphism_count",
     "conditional_density",
     "count_copies",
     "discretize",

@@ -25,7 +25,7 @@ from .graphon import (
     as_step_graphon,
     discretize,
 )
-from .graphs import LabeledGraph, automorphism_count, count_copies
+from .graphs import LabeledGraph, count_copies
 from .limits import (
     REGULARITY_TOL,
     DegenerateGraphonError,
@@ -65,6 +65,8 @@ def _load_kernel(ref: str) -> KernelSpec:
     kind, sep, arg = ref.partition(":")
     if not sep:
         return KernelSpec(kind)
+    if not arg:  # Path("") would be the working directory
+        raise ValueError(f"--kernel {ref!r}: the ARG after ':' is empty")
     try:
         value = float(arg)
     except ValueError:
@@ -246,7 +248,8 @@ def _closed_forms() -> list[_ClosedForm]:
 
     star2 = graphs["star2"]
     return [
-        _ClosedForm("automorphism counts", lambda: [automorphism_count(H) for H in graphs.values()],
+        _ClosedForm("automorphism counts",
+                    lambda: [H.counting_plan.automorphisms for H in graphs.values()],
                     list(auts.values())),
         # on two_block:p the 2-star has degree p/2 on each block: t = p^2/4,
         # so d_wh = 3p^2/8 and W_H = diag(3p^2/4); and sigma2 = p^3 (1-p) / 4

@@ -1,4 +1,4 @@
-"""Finite labeled graphs: automorphisms and copy counting.
+"""Finite labeled graphs and copy counting.
 
 Vertices are labeled 1..n throughout. Edges are unordered pairs stored as
 (a, b) with a < b. Graphs are immutable and safe to share across workers.
@@ -7,7 +7,8 @@ Copies are counted in the homomorphism basis on a 0/1 adjacency matrix:
 injective homomorphisms are a Moebius sum of homomorphism counts of the
 loopless quotients of the pattern (Lovasz, Large Networks and Graph
 Limits, 5.2), and each homomorphism count sums out pattern vertices one at
-a time.
+a time. |Aut H| is the number of injective homomorphisms of H into itself,
+counted by the same sum on H's own adjacency matrix.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .graphon import _json_int
 
 Edge = tuple[int, int]
 
-# Automorphism enumeration, copy counting and density computations refuse
-# patterns above this size.
+# Counting plans, copy counting and density computations refuse patterns
+# above this size.
 PATTERN_VERTEX_BOUND = 8
 # Copy counting refuses hosts with n^|V(H)| at or above this: float64 holds
 # every integer below 2^53 exactly, and every homomorphism count of a
@@ -113,23 +114,6 @@ class LabeledGraph:
         return cls.from_edges(_json_int(data["n"], "pattern n"), ends)
 
 
-def automorphism_count(H: LabeledGraph) -> int:
-    """Number of vertex permutations of H mapping its edge set onto itself.
-
-    Brute force over all permutations; refuses patterns with more than
-    PATTERN_VERTEX_BOUND vertices before enumerating any.
-    """
-    v = H.vertex_count
-    if v > PATTERN_VERTEX_BOUND:
-        raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
-    edges = H.edges
-    count = 0
-    for perm in itertools.permutations(range(1, v + 1)):
-        if all(_sorted_edge(perm[a - 1], perm[b - 1]) in edges for a, b in edges):
-            count += 1
-    return count
-
-
 def _set_partitions(v: int) -> Iterator[tuple[int, ...]]:
     """Set partitions of {1..v} as restricted growth strings: entry i is the
     block of vertex i+1, blocks numbered in order of first appearance."""
@@ -151,16 +135,20 @@ class CountingPlan:
     """inj(H, G) = sum of coefficient * hom(quotient, G) over the loopless
     quotients H/P, P a set partition of V(H), with the Moebius coefficient
     mu(P) = prod over blocks B of (-1)^(|B|-1) (|B|-1)!. Quotients with the
-    same edge set are merged and zero coefficients dropped."""
+    same edge set are merged and zero coefficients dropped. automorphisms is
+    |Aut H| = inj(H, H), the same sum on H's own adjacency matrix, exact
+    because every homomorphism count is at most 8^8 < 2^53."""
 
     terms: tuple[tuple[int, LabeledGraph], ...]
     automorphisms: int
 
 
 def _counting_plan(H: LabeledGraph) -> CountingPlan:
-    automorphisms = automorphism_count(H)  # refuses patterns above PATTERN_VERTEX_BOUND
+    v = H.vertex_count
+    if v > PATTERN_VERTEX_BOUND:  # before any of the Bell(v) partitions is built
+        raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
     coefficients: dict[LabeledGraph, int] = {}
-    for labels in _set_partitions(H.vertex_count):
+    for labels in _set_partitions(v):
         if any(labels[a - 1] == labels[b - 1] for a, b in H.edges):
             continue
         blocks = max(labels) + 1
@@ -173,7 +161,8 @@ def _counting_plan(H: LabeledGraph) -> CountingPlan:
         )
         coefficients[quotient] = coefficients.get(quotient, 0) + mu
     terms = tuple((c, F) for F, c in coefficients.items() if c != 0)
-    return CountingPlan(terms, automorphisms)
+    A = _adjacency(H)
+    return CountingPlan(terms, sum(c * _hom(F, A) for c, F in terms))
 
 
 def _rows(pair: dict, a: int, b: int) -> np.ndarray:

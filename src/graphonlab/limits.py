@@ -23,6 +23,7 @@ defect, tau2 and the degree d_wh of the two-point kernel from (t, S).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,10 +39,6 @@ MIXTURE = "mixture"
 
 # A step computation is declared regular when the defect is at most this.
 REGULARITY_TOL = 1e-10
-
-# Variance formulas are nonnegative; rounding this far below zero is clamped,
-# anything worse is treated as a bug.
-VARIANCE_CLAMP_TOL = 1e-10
 
 # Normal draws per step of a chi-square term in sample_limit.
 _DRAW_CHUNK = 4096
@@ -108,12 +105,9 @@ class LimitLaw:
         }
 
 
-def _clamp_variance(raw: float, name: str) -> float:
-    if raw < 0.0:
-        if raw < -VARIANCE_CLAMP_TOL:
-            raise RuntimeError(f"{name} computed as {raw!r}; genuinely negative, likely a bug")
-        return 0.0
-    return raw
+def _require_probability_kernel(W: StepGraphon) -> None:
+    if not W.is_probability_kernel:
+        raise ValueError("limit constants are defined for kernels with values in [0,1]")
 
 
 class FirstOrder(NamedTuple):
@@ -134,8 +128,7 @@ def first_order(H: LabeledGraph, W: StepGraphon) -> FirstOrder:
     Raises ValueError for kernels with values outside [0,1], and
     DegenerateGraphonError for the all-ones kernel and for H-free kernels.
     """
-    if not W.is_probability_kernel:
-        raise ValueError("regularity is defined for kernels with values in [0,1]")
+    _require_probability_kernel(W)
     if np.all(W.values == 1.0):
         raise DegenerateGraphonError("complete", "kernel is identically 1; count is a.s. constant")
     t = hom_density(H, W)
@@ -156,7 +149,10 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     S2 the sum over sorted edges (a, b) of the two-point conditional density
     of H - ab, a on rows. Expanding S2^2 gives the weak- minus strong-join
     densities of H glued to itself along ordered edge pairs (a ~ c, b ~ d).
+    Raises ValueError, as first_order does, for kernels with values outside
+    [0,1]; on the others every summand is >= 0, so the sum is too.
     """
+    _require_probability_kernel(W)
     aut = H.counting_plan.automorphisms
     edges = H.sorted_edges()
     if not edges:
@@ -166,11 +162,14 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
         S2 += conditional_density(LabeledGraph(H.vertex_count, H.edges - {e}), e, W)
     weighted = W.values * (1.0 - W.values) * S2**2
     total = float(W.block_weights @ weighted @ W.block_weights)
-    return _clamp_variance(2.0 * total / (aut * aut), "sigma_squared")
+    return 2.0 * total / (aut * aut)
 
 
 def limit_law(H: LabeledGraph, W: StepGraphon, regularity_tol: float = REGULARITY_TOL) -> LimitLaw:
-    """Decide the branch from the regularity defect and assemble the law."""
+    """Decide the branch from the regularity defect and assemble the law;
+    a regularity_tol that is NaN, infinite or negative is refused."""
+    if not 0.0 <= regularity_tol < math.inf:  # NaN fails this too
+        raise ValueError("regularity_tol must be finite and >= 0")
     _, defect, tau2, d_wh = first_order(H, W)
     v = H.vertex_count
     if defect > regularity_tol:

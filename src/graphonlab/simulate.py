@@ -254,7 +254,8 @@ def _count(H: LabeledGraph, W: StepGraphon, n: int, seed: int) -> int:
 
 def _worker_count(replicates: int) -> int:
     """GRAPHONLAB_THREADS (default 1), capped at one worker per replicate and
-    per CPU this process may run on."""
+    per CPU this process may run on, or per CPU of the machine where the OS
+    cannot say (no os.sched_getaffinity on macOS and Windows)."""
     raw = os.environ.get(THREADS_ENV_VAR, "1")
     try:
         workers = int(raw)
@@ -262,7 +263,8 @@ def _worker_count(replicates: int) -> int:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
     if workers < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {raw!r}")
-    return min(workers, replicates, len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(workers, replicates, cpus or 1)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -7,6 +7,7 @@ package, so agreement is evidence."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -23,6 +24,12 @@ def copy_edge_sets(H: LabeledGraph, vertices) -> list[frozenset[Edge]]:
         for perm in itertools.permutations(vertices)
     }
     return sorted(copies, key=sorted)
+
+
+def automorphisms_by_copies(H: LabeledGraph) -> int:
+    """|Aut H| as v! over the number of copies of H on its own v vertices."""
+    v = H.vertex_count
+    return math.factorial(v) // len(copy_edge_sets(H, range(1, v + 1)))
 
 
 def exhaustive_copy_count(H: LabeledGraph, G: LabeledGraph) -> int:

@@ -17,8 +17,9 @@ Returned constants are not clamped at zero.
 from __future__ import annotations
 
 import numpy as np
+from counting_oracles import automorphisms_by_copies
 
-from graphonlab import LabeledGraph, StepGraphon, automorphism_count
+from graphonlab import LabeledGraph, StepGraphon
 
 Edge = tuple[int, int]
 
@@ -125,7 +126,7 @@ def tau_squared_by_joins(H: LabeledGraph, W: StepGraphon) -> float:
     """Over all ordered vertex pairs (a, b), the density of H glued to itself
     at a ~ b, minus v^2 t(H,W)^2, divided by |Aut(H)|^2."""
     v = H.vertex_count
-    aut = automorphism_count(H)
+    aut = automorphisms_by_copies(H)
     t = einsum_density(H, W)
     total = 0.0
     for a in range(1, v + 1):
@@ -137,7 +138,7 @@ def tau_squared_by_joins(H: LabeledGraph, W: StepGraphon) -> float:
 def sigma_squared_by_joins(H: LabeledGraph, W: StepGraphon) -> float:
     """2/|Aut(H)|^2 times the sum over ordered pairs of edges of the
     weak-join density minus the strong-join density."""
-    aut = automorphism_count(H)
+    aut = automorphisms_by_copies(H)
     edges = H.sorted_edges()
     total = 0.0
     for e in edges:

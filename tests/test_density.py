@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from conftest import ZOO, closed_form, degree, empty_graph
+from counting_oracles import automorphisms_by_copies
 from limit_oracles import average, einsum_density
 
 from graphonlab import (
@@ -248,26 +249,22 @@ class TestTwoPointGraphon:
 
     def test_degree_identity(self, graphon_suite, small_patterns):
         # degree of the derived kernel = (v-1)/(2|Aut|) * sum of one-point conditionals
-        from graphonlab import automorphism_count
-
         for W in graphon_suite[:6]:
             for H in small_patterns.values():
                 v = H.vertex_count
                 total = np.zeros(W.block_count)
                 for a in range(1, v + 1):
                     total += conditional_density(H, (a,), W)
-                expected = (v - 1) / (2 * automorphism_count(H)) * total
+                expected = (v - 1) / (2 * automorphisms_by_copies(H)) * total
                 assert np.allclose(degree(two_point_graphon(H, W)), expected, atol=1e-12)
 
     def test_values_within_structural_bound(self, graphon_suite, small_patterns):
         # every two-point conditional is at most 1, so the derived kernel is
         # bounded by the number of ordered pairs over 2|Aut|
-        from graphonlab import automorphism_count
-
         for W in graphon_suite[:8]:
             for H in small_patterns.values():
                 v = H.vertex_count
-                bound = v * (v - 1) / (2 * automorphism_count(H))
+                bound = v * (v - 1) / (2 * automorphisms_by_copies(H))
                 WH = two_point_graphon(H, W)
                 assert np.all(WH.values >= -1e-15)
                 assert np.all(WH.values <= bound + 1e-12)

@@ -1,5 +1,5 @@
-"""Graphs module: automorphisms and copy counting; the copy-set and join
-oracles of the tests."""
+"""Graphs module: copy counting and the counting plan's |Aut H|; the
+copy-set and join oracles of the tests."""
 
 import itertools
 import math
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import ZOO, empty_graph
 from counting_oracles import (
+    automorphisms_by_copies,
     backtrack_injective_homomorphisms,
     copy_edge_sets,
     exhaustive_copy_count,
@@ -22,7 +23,6 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     as_step_graphon,
-    automorphism_count,
     count_copies,
     limit_law,
     mean_count,
@@ -73,31 +73,53 @@ class TestConstruction:
 
 
 class TestAutomorphisms:
+    # |Aut H| = inj(H, H), the counting plan's Moebius sum on H's own
+    # adjacency matrix
     def test_triangle(self):
-        assert automorphism_count(K3) == 6
+        assert K3.counting_plan.automorphisms == 6
 
     def test_two_star(self):
-        assert automorphism_count(STAR2) == 2
+        assert STAR2.counting_plan.automorphisms == 2
 
     def test_path_with_four_edges(self):
-        assert automorphism_count(PATH4) == 2
+        assert PATH4.counting_plan.automorphisms == 2
 
     def test_no_edges_gives_full_symmetric_group(self):
-        assert automorphism_count(empty_graph(4)) == 24
+        assert empty_graph(4).counting_plan.automorphisms == 24
+
+    @pytest.mark.parametrize("H,aut", [
+        (LabeledGraph.complete(8), 40320), (empty_graph(8), 40320),
+        (LabeledGraph.star(7), 5040), (LabeledGraph.path(7), 2),
+    ], ids=["k8", "empty8", "star7", "path7"])
+    def test_exact_at_the_vertex_bound(self, H, aut):
+        # homomorphism counts up to 8^8 < 2^53, alternating Moebius signs
+        assert H.counting_plan.automorphisms == aut
+
+    def test_every_five_vertex_graph_matches_its_copy_orbit(self):
+        pairs = list(itertools.combinations(range(1, 6), 2))
+        for mask in range(1 << len(pairs)):
+            H = LabeledGraph.from_edges(5, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            assert H.counting_plan.automorphisms == automorphisms_by_copies(H), H
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_zoo_matches_its_copy_orbit(self, name):
+        assert ZOO[name].counting_plan.automorphisms == automorphisms_by_copies(ZOO[name])
 
     def test_brute_force_bound(self, monkeypatch):
         # PATTERN_VERTEX_BOUND, the one size limit of every pattern function,
-        # is checked before enumerating: at 10 vertices the 10! permutations
-        # took seconds before the density refused
+        # is checked before the plan enumerates the Bell(v) set partitions
+        # (115975 at 10 vertices) or counts a homomorphism
         def refuse(*args):
-            raise AssertionError("permutations enumerated for a refused pattern")
+            raise AssertionError("counting plan built for a refused pattern")
 
-        assert automorphism_count(LabeledGraph.cycle(8)) == 16
+        assert LabeledGraph.cycle(8).counting_plan.automorphisms == 16
         W = as_step_graphon(KernelSpec.constant(0.5))
         with monkeypatch.context() as patched:
-            patched.setattr(itertools, "permutations", refuse)
-            for call in (lambda: automorphism_count(LabeledGraph.cycle(9)),
-                         lambda: automorphism_count(empty_graph(11)),
+            patched.setattr(graphs, "_set_partitions", refuse)
+            patched.setattr(graphs, "_hom", refuse)
+            for call in (lambda: LabeledGraph.cycle(9).counting_plan,
+                         lambda: empty_graph(11).counting_plan,
+                         lambda: count_copies(LabeledGraph.cycle(9), empty_graph(12)),
                          lambda: mean_count(LabeledGraph.cycle(10), W, 20)):
                 with pytest.raises(ValueError, match="limited to 8 vertices"):
                     call()
@@ -122,8 +144,8 @@ class TestCopySet:
         [K2, STAR2, K3, K4, LabeledGraph.path(2), LabeledGraph.path(3), LabeledGraph.cycle(4)],
     )
     def test_count_times_automorphisms_is_factorial(self, H):
-        v = H.vertex_count
-        assert len(copy_edge_sets(H, range(1, v + 1))) * automorphism_count(H) == math.factorial(v)
+        v, aut = H.vertex_count, H.counting_plan.automorphisms
+        assert len(copy_edge_sets(H, range(1, v + 1))) * aut == math.factorial(v)
 
 
 def degree_profile(g: LabeledGraph) -> list[int]:
@@ -140,7 +162,7 @@ class TestJoins:
         joined = vertex_join(STAR2, 2, STAR2, 3)
         assert joined.vertex_count == 5
         assert degree_profile(joined) == degree_profile(PATH4)
-        assert automorphism_count(joined) == automorphism_count(PATH4)
+        assert joined.counting_plan.automorphisms == PATH4.counting_plan.automorphisms
 
     def test_vertex_join_of_edges_is_two_path(self):
         assert vertex_join(K2, 1, K2, 1) == LabeledGraph.star(2)
@@ -185,7 +207,7 @@ class TestJoins:
         left = vertex_join(H1, 1, H2, 1)
         right = vertex_join(H2, 1, H1, 1)
         assert degree_profile(left) == degree_profile(right)
-        assert automorphism_count(left) == automorphism_count(right)
+        assert left.counting_plan.automorphisms == right.counting_plan.automorphisms
 
     @pytest.mark.parametrize("H1,H2", [(STAR2, K3), (K3, PATH4), (STAR2, PATH4)])
     def test_edge_joins_symmetric_up_to_isomorphism(self, H1, H2):
@@ -194,7 +216,7 @@ class TestJoins:
         left = weak_edge_join(H1, e1, H2, e2)
         right = weak_edge_join(H2, e2, H1, e1)
         assert degree_profile(left) == degree_profile(right)
-        assert automorphism_count(left) == automorphism_count(right)
+        assert left.counting_plan.automorphisms == right.counting_plan.automorphisms
 
     @pytest.mark.parametrize("H1,H2", [(STAR2, STAR2), (K3, K3), (STAR2, K3), (K3, PATH4)])
     def test_weak_join_is_clamped_strong_join(self, H1, H2):
@@ -259,7 +281,7 @@ class TestCountCopies:
         for _ in range(3):
             G = random_graph(rng, int(rng.integers(20, 41)), float(rng.uniform(0.2, 0.7)))
             expected = backtrack_injective_homomorphisms(H, G)
-            assert count_copies(H, G) * automorphism_count(H) == expected
+            assert count_copies(H, G) * automorphisms_by_copies(H) == expected
 
     @pytest.mark.parametrize("name", ["k4", "k5", "wheel4", "k4_pendant"])
     def test_pinned_patterns_on_edge_case_hosts(self, name):
@@ -284,7 +306,7 @@ class TestCountCopies:
             isolated = set(rng.choice(np.arange(1, 25), 6, replace=False).tolist())
             G = LabeledGraph.from_edges(24, [e for e in G.edges if not isolated & set(e)])
             expected = backtrack_injective_homomorphisms(H, G)
-            assert count_copies(H, G) * automorphism_count(H) == expected
+            assert count_copies(H, G) * automorphisms_by_copies(H) == expected
 
     def test_adjacency_array_host(self):
         rng = np.random.default_rng(5)
@@ -318,11 +340,11 @@ class TestCountCopies:
 
     def test_automorphisms_counted_once_per_pattern(self, monkeypatch):
         # counts, the mean, the limit law (mixture branch: W_H and sigma2 too)
-        # and a whole experiment read |Aut H| from the pattern's one plan:
-        # the v! permutations are enumerated once, whoever imported what
+        # and a whole experiment read |Aut H| from the pattern's one plan,
+        # which is built once
         calls = []
-        original = itertools.permutations
-        monkeypatch.setattr(itertools, "permutations", lambda *a: calls.append(a) or original(*a))
+        original = graphs._counting_plan
+        monkeypatch.setattr(graphs, "_counting_plan", lambda H: calls.append(H) or original(H))
         monkeypatch.delenv("GRAPHONLAB_THREADS", raising=False)
         H = LabeledGraph.cycle(4)
         rng = np.random.default_rng(3)
@@ -334,7 +356,7 @@ class TestCountCopies:
         assert limit_law(H, W).kind == "mixture"
         run_experiment(ExperimentConfig(pattern=H, kernel=kernel, n=9, replicates=3,
                                         master_seed=0, reference_draws=1_000))
-        assert calls == [(range(1, 5),)]
+        assert calls == [H]
 
 
 def test_falling_factorial():
@@ -357,8 +379,8 @@ def small_graphs(draw, max_vertices=5):
 @settings(max_examples=60, deadline=None)
 @given(H=small_graphs())
 def test_property_copy_set_orbit_size(H):
-    v = H.vertex_count
-    assert len(copy_edge_sets(H, range(1, v + 1))) * automorphism_count(H) == math.factorial(v)
+    v, aut = H.vertex_count, H.counting_plan.automorphisms
+    assert len(copy_edge_sets(H, range(1, v + 1))) * aut == math.factorial(v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,6 +18,7 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     LimitLaw,
+    StepGraphon,
     as_step_graphon,
     conditional_density,
     discretize,
@@ -119,9 +120,20 @@ class TestSigmaSquared:
         assert closed_form(f"sigma2 of k3 on constant:{p}")
 
     def test_zero_one_valued_kernel_gives_zero(self):
+        # every summand is +0.0, so the sum is exactly 0.0 with nothing clamped
         W = as_step_graphon(KernelSpec.two_block_diagonal(1.0))
-        assert sigma_squared(STAR2, W) == 0.0
-        assert sigma_squared(K3, W) == 0.0
+        assert repr(sigma_squared(STAR2, W)) == "0.0"
+        assert repr(sigma_squared(K3, W)) == "0.0"
+
+    def test_refuses_kernels_outside_the_unit_interval(self):
+        # W(1-W) < 0 above 1: the summands would no longer be nonnegative
+        W = StepGraphon(np.array([0.5, 0.5]), np.array([[1.5, 0.2], [0.2, 0.3]]))
+        refusals = []
+        for constant in (first_order, sigma_squared):
+            with pytest.raises(ValueError) as info:
+                constant(STAR2, W)
+            refusals.append(str(info.value))
+        assert refusals == ["limit constants are defined for kernels with values in [0,1]"] * 2
 
     def test_nonnegative_on_random_kernels(self, graphon_suite, small_patterns):
         for W in graphon_suite:
@@ -175,6 +187,14 @@ class TestLimitLaw:
             limit_law(K3, as_step_graphon(KernelSpec.constant(1.0)))
         with pytest.raises(DegenerateGraphonError):
             limit_law(K3, as_step_graphon(KernelSpec.two_block_diagonal(0.0)))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_refuses_a_tolerance_not_finite_and_nonnegative(self, tol):
+        # NaN and inf would send every kernel to the mixture branch, -1 every
+        # kernel to the Gaussian one
+        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
+        with pytest.raises(ValueError, match=r"^regularity_tol must be finite and >= 0$"):
+            limit_law(STAR2, W, regularity_tol=tol)
 
     def test_validation(self):
         with pytest.raises(ValueError):

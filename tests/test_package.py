@@ -20,7 +20,6 @@ from graphonlab import (
     Spectrum,
     StepGraphon,
     as_step_graphon,
-    automorphism_count,
     cli,
     conditional_density,
     count_copies,
@@ -45,7 +44,6 @@ PUBLIC_NAMES = [
     "Spectrum",
     "StepGraphon",
     "as_step_graphon",
-    "automorphism_count",
     "conditional_density",
     "count_copies",
     "discretize",
@@ -77,12 +75,13 @@ def test_no_module_holds_join_machinery():
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphonlab"]
     for module in modules:
         # nor a twin of limits.first_order, the one home of t, defect, tau2 and
-        # d_wh, nor of count_copies, nor test-only API
+        # d_wh, nor of count_copies or the counting plan's |Aut H|, nor
+        # test-only API
         for name in ("vertex_join", "weak_edge_join", "strong_edge_join", "MultiGraph",
                      "_one_point_sum", "_density_and_one_point_sum", "_defect",
                      "_tau_squared_of", "_degree_value", "is_regular", "_first_order",
                      "regularity_defect", "tau_squared", "dwh",
-                     "count_injective_homomorphisms", "_count_chunk"):
+                     "count_injective_homomorphisms", "_count_chunk", "automorphism_count"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("has_edge", "empty"):
         assert not hasattr(LabeledGraph, name), f"LabeledGraph.{name}"
@@ -100,13 +99,12 @@ def test_sampler_only_samples():
         assert home not in above, f"graphonlab.sampler.{name} comes from {home}"
 
 
-def test_automorphisms_are_enumerated_only_for_the_counting_plan():
-    # everything else reads |Aut H| from H.counting_plan; cli's selftest
-    # checks the enumeration itself
+def test_no_module_enumerates_permutations():
+    # |Aut H| is counted by the elimination engine in H.counting_plan, not by
+    # trying the v! vertex permutations
     for info in pkgutil.iter_modules(graphonlab.__path__):
-        if info.name not in ("graphs", "cli"):
-            source = inspect.getsource(importlib.import_module(f"graphonlab.{info.name}"))
-            assert "automorphism_count" not in source, info.name
+        source = inspect.getsource(importlib.import_module(f"graphonlab.{info.name}"))
+        assert "permutations" not in source, info.name
 
 
 def test_kernel_kinds_are_known_only_to_graphon():
@@ -151,7 +149,6 @@ def test_only_the_regularity_tolerance_is_a_parameter():
     assert list(inspect.signature(first_order).parameters) == ["H", "W"]
     assert list(inspect.signature(spectrum).parameters) == ["kernel"]
     assert list(inspect.signature(spec_minus).parameters) == ["spec", "degree_value"]
-    assert list(inspect.signature(automorphism_count).parameters) == ["H"]
 
 
 def test_plain_pytest_finds_the_sources():

@@ -332,6 +332,17 @@ class TestWorkerCount:
         cpus(monkeypatch, cpu_count)
         assert simulate._worker_count(replicates) == workers
 
+    @pytest.mark.parametrize("cpu_count,workers", [(3, 3), (None, 1)])
+    def test_without_affinity_capped_at_the_machine_cpus(self, cpu_count, workers, monkeypatch):
+        # os.sched_getaffinity does not exist on macOS and Windows, and
+        # os.cpu_count may not know
+        monkeypatch.delattr(simulate.os, "sched_getaffinity")
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "8")
+        assert simulate._worker_count(100) == workers
+        monkeypatch.delenv("GRAPHONLAB_THREADS")
+        assert len(run_experiment(small_config(replicates=2)).records) == 2
+
 
 class TestOutputs:
     def test_writes_result_and_csv(self, tmp_path):
@@ -481,6 +492,14 @@ class TestCli:
         cfg_path.write_text(json.dumps(dict(small_config().to_json_dict(), kernel=kernel)))
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == captured.err
+
+    @pytest.mark.parametrize("ref", ["constant:", "custom:"])
+    def test_empty_kernel_arg_exits_2(self, ref, capsys):
+        # an empty ARG would otherwise be read as the file "", the working directory
+        assert main(["density", "--pattern", "k2", "--kernel", ref]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --kernel {ref!r}: the ARG after ':' is empty\n"
 
     @pytest.mark.parametrize("kernel", ["constant:0.3", "product"])
     def test_fewer_than_one_cell_exits_2(self, kernel, capsys):
