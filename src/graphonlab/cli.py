@@ -52,7 +52,7 @@ def _builtin_pattern(name: str) -> LabeledGraph:
 def _load_pattern(ref: str) -> LabeledGraph:
     """Pattern from a JSON file path, or a builtin name."""
     path = Path(ref)
-    if path.exists():
+    if path.is_file():  # Path("") and Path(".") are the working directory
         return LabeledGraph.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
     return _builtin_pattern(ref)
 
@@ -295,9 +295,13 @@ def _cmd_selftest(_args) -> int:
 
 def _cells(text: str) -> int:
     """The --m value: a positive number of cells."""
-    if int(text) < 1:
+    try:
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}") from None
+    if m < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+    return m
 
 
 def _build_parser() -> argparse.ArgumentParser:

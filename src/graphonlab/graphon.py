@@ -6,6 +6,7 @@ and the last block is closed at 1; derived kernels may leave [0,1].
 A `KernelSpec` is a kind and the values of its keys. Only the table
 `_KINDS` lists the kinds: each kind's JSON keys, and its exact step form,
 or None for the analytic kind, which is discretized on m uniform cells.
+A step kind on m cells averages its blocks by each cell's share of them.
 """
 
 from __future__ import annotations
@@ -199,34 +200,27 @@ def _kernel_error(got) -> ValueError:
     return ValueError(f'a kernel is an object with a "kind" and its keys ({known}), got {got!r}')
 
 
-def _cell_average_step(breaks: np.ndarray, B: np.ndarray, m: int) -> np.ndarray:
-    """Exact averages of a step kernel (breakpoints `breaks`) over the uniform
-    m x m cell grid."""
-    edges = np.linspace(0.0, 1.0, m + 1)
-    lo = np.maximum.outer(edges[:-1], breaks[:-1])
-    hi = np.minimum.outer(edges[1:], breaks[1:])
-    overlap = np.clip(hi - lo, 0.0, None)  # m x k
-    avg = (overlap @ B @ overlap.T) * (m * m)
-    return (avg + avg.T) / 2.0  # matmul rounding can break exact symmetry
-
-
 def discretize(spec: KernelSpec, m: int) -> StepGraphon:
-    """Step graphon on m uniform blocks whose values are the exact cell
-    averages of the kernel: its one value for a one-block step kernel, and
-    for the analytic kernel xy the products of the cell midpoints, which
-    keep edge densities exact."""
+    """Step graphon on m uniform blocks whose values are the cell averages of
+    the kernel. For a step kernel a cell lying inside one block gets exactly
+    that block's value, and no value leaves the range of the block values;
+    for the analytic kernel xy they are the products of the cell midpoints,
+    which keep edge densities exact."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     W = spec.step_graphon()
     if W is None:
         mid = (np.arange(m) + 0.5) / m
         B = np.outer(mid, mid)
-    elif W.block_count == 1:
-        B = np.full((m, m), W.values[0, 0])
     else:
-        breaks = np.concatenate(([0.0], np.cumsum(W.block_weights)))
-        breaks[-1] = 1.0
-        B = _cell_average_step(breaks, W.values, m)
+        edges, ends = np.linspace(0.0, 1.0, m + 1), np.cumsum(W.block_weights)
+        ends[-1] = 1.0
+        overlap = np.minimum.outer(edges[1:], ends) - np.maximum.outer(edges[:-1], [0.0, *ends[:-1]])
+        overlap = overlap.clip(0.0)
+        share = overlap / overlap.sum(axis=1, keepdims=True)  # m x k, rows sum to 1
+        avg = share @ W.values @ share.T
+        # rounding can break exact symmetry, and leave B's range where a cell meets two blocks
+        B = ((avg + avg.T) / 2.0).clip(W.values.min(), W.values.max())
     return StepGraphon(np.full(m, 1.0 / m), B)
 
 

@@ -46,7 +46,7 @@ _DRAW_CHUNK = 4096
 
 class DegenerateGraphonError(ValueError):
     """The pair (H, W) pins the subgraph count almost surely: W is the
-    all-ones kernel, or H has zero density in W."""
+    all-ones kernel, H has no edges, or H has zero density in W."""
 
     def __init__(self, reason: str, message: str) -> None:
         self.reason = reason
@@ -126,11 +126,14 @@ def first_order(H: LabeledGraph, W: StepGraphon) -> FirstOrder:
     exactly 0 when S is constant. d_wh = v (v-1) / (2 |Aut H|) t is the
     degree of the two-point kernel when W is H-regular, advisory otherwise.
     Raises ValueError for kernels with values outside [0,1], and
-    DegenerateGraphonError for the all-ones kernel and for H-free kernels.
+    DegenerateGraphonError for the all-ones kernel, edgeless patterns and
+    H-free kernels.
     """
     _require_probability_kernel(W)
     if np.all(W.values == 1.0):
         raise DegenerateGraphonError("complete", "kernel is identically 1; count is a.s. constant")
+    if not H.edges:
+        raise DegenerateGraphonError("edgeless", "pattern has no edges; count is a.s. C(n, v)")
     t = hom_density(H, W)
     if t == 0.0:
         raise DegenerateGraphonError(

@@ -271,7 +271,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the replicates, draw the reference sample, and score the run.
 
     Fully deterministic given the config (including across worker counts).
-    Raises DegenerateGraphonError for all-ones or pattern-free kernels.
+    Raises DegenerateGraphonError for all-ones or pattern-free kernels and
+    for edgeless patterns.
     """
     W = as_step_graphon(config.kernel, config.discretization)
     H = config.pattern

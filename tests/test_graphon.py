@@ -1,6 +1,7 @@
 """Graphon module: step kernels, evaluation, degrees, discretization."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from graphonlab import (
     as_step_graphon,
     discretize,
     first_order,
+    limit_law,
     sigma_squared,
     two_point_graphon,
 )
+from graphonlab.sampler import sample_adjacency
 
 
 def evaluate(W: StepGraphon, x: float, y: float) -> float:
@@ -140,6 +143,23 @@ class TestDegree:
             assert np.max(np.abs(degree(W) - 0.37)) <= 1e-15
 
 
+def block_of_each_cell(W: StepGraphon, m: int) -> list:
+    """For each uniform cell [i/m, (i+1)/m], the block of W that holds it
+    whole in exact arithmetic, or None when the cell meets two blocks; the
+    blocks end where W.block_index puts them, at the running sums of the
+    weights, the last at 1."""
+    ends = [Fraction(0), *map(Fraction, np.cumsum(W.block_weights)[:-1]), Fraction(1)]
+    return [next((a for a in range(W.block_count)
+                  if ends[a] <= Fraction(i, m) and Fraction(i + 1, m) <= ends[a + 1]), None)
+            for i in range(m)]
+
+
+STEP_SPECS = [
+    *(KernelSpec.two_block_diagonal(p) for p in (0.3, 0.5, 0.9)),
+    KernelSpec.custom((0.2, 0.3, 0.5), [[0.9, 0.1, 0.4], [0.1, 0.6, 0.0], [0.4, 0.0, 1.0]]),
+]
+
+
 class TestDiscretize:
     def test_constant_any_m(self):
         W = discretize(KernelSpec.constant(0.2), 5)
@@ -185,6 +205,42 @@ class TestDiscretize:
             a, b = discretize(kind, m), discretize(grid, m)
             assert a.values.tobytes() == b.values.tobytes()
             assert a.block_weights.tobytes() == b.block_weights.tobytes()
+
+    @pytest.mark.parametrize("m", [3, 7, 10, 13, 100, 256])
+    def test_step_cells_inside_a_block_keep_its_value(self, m, graphon_suite):
+        # a cell inside one block is that block's value exactly, and a cell
+        # meeting several blocks averages them without leaving their range
+        suite = [KernelSpec.custom(W.block_weights, W.values) for W in graphon_suite]
+        for spec in STEP_SPECS + suite:
+            W, V = spec.step_graphon(), discretize(spec, m).values
+            blocks = block_of_each_cell(W, m)
+            inside = [i for i, a in enumerate(blocks) if a is not None]
+            held = [blocks[i] for i in inside]
+            assert inside or spec in suite  # a random block may be narrower than a cell
+            assert np.array_equal(V[np.ix_(inside, inside)], W.values[np.ix_(held, held)])
+            assert W.values.min() <= V.min() and V.max() <= W.values.max()
+
+    def test_random_grids_stay_in_the_range_of_their_blocks(self):
+        rng = np.random.default_rng(16)
+        for _ in range(300):
+            k = int(rng.integers(2, 6))
+            weights = rng.random(k) + 0.1
+            values = np.triu(rng.choice([0.0, 0.3, 0.7, 1.0], size=(k, k)))
+            spec = KernelSpec.custom(weights / weights.sum(), values + np.triu(values, 1).T)
+            B = spec.step_graphon().values
+            for m in (3, 7, 10, 13, 100):
+                W = discretize(spec, m)
+                assert W.is_probability_kernel
+                assert B.min() <= W.values.min() and W.values.max() <= B.max()
+
+    def test_identity_grid_on_ten_cells_is_a_graphon(self):
+        # every cell lies inside a block, so each value is exactly 0 or 1, and
+        # the limit constants and the sampler take the grid
+        W = discretize(KernelSpec.custom((0.5, 0.5), [[1.0, 0.0], [0.0, 1.0]]), 10)
+        assert W.is_probability_kernel
+        assert np.array_equal(W.values, np.kron(np.eye(2), np.ones((5, 5))))
+        assert limit_law(LabeledGraph.star(2), W).kind == "mixture"
+        assert sample_adjacency(W, 20, 0).shape == (20, 20)
 
     def test_product_degree_sup_error_halves(self):
         # first-order convergence of cell averages away from midpoints

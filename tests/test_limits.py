@@ -12,7 +12,7 @@ from limit_oracles import (
     vertex_join,
 )
 
-from graphonlab import cli, density
+from graphonlab import cli, density, limits
 from graphonlab import (
     DegenerateGraphonError,
     KernelSpec,
@@ -181,6 +181,20 @@ class TestLimitLaw:
         assert law.kind == "mixture"
         assert law.lambdas == ()
         assert closed_form("limit law of k3 on constant:0.5")
+
+    @pytest.mark.parametrize("v", [1, 2, 4])
+    def test_edgeless_patterns_are_refused_before_any_contraction(self, v, monkeypatch):
+        # an edgeless pattern has C(n, v) copies in every graph on n vertices
+        def refuse(*args, **kwargs):
+            raise AssertionError("a density was contracted")
+
+        monkeypatch.setattr(limits, "hom_density", refuse)
+        monkeypatch.setattr(limits, "conditional_density", refuse)
+        W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
+        for compute in (first_order, limit_law):
+            with pytest.raises(DegenerateGraphonError, match="no edges") as err:
+                compute(empty_graph(v), W)
+            assert err.value.reason == "edgeless"
 
     def test_degenerate_kernels_raise(self):
         with pytest.raises(DegenerateGraphonError):

@@ -81,7 +81,8 @@ def test_no_module_holds_join_machinery():
                      "_one_point_sum", "_density_and_one_point_sum", "_defect",
                      "_tau_squared_of", "_degree_value", "is_regular", "_first_order",
                      "regularity_defect", "tau_squared", "dwh",
-                     "count_injective_homomorphisms", "_count_chunk", "automorphism_count"):
+                     "count_injective_homomorphisms", "_count_chunk", "automorphism_count",
+                     "_cell_average_step"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("has_edge", "empty"):
         assert not hasattr(LabeledGraph, name), f"LabeledGraph.{name}"

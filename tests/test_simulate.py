@@ -262,6 +262,15 @@ class TestRunExperiment:
         assert [r.raw_count for r in pooled.records] == [r.raw_count for r in serial.records]
         assert pooled.to_canonical_json() == serial.to_canonical_json()
 
+    def test_edgeless_pattern_raises_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(simulate, "sample_adjacency", refuse)
+        with pytest.raises(DegenerateGraphonError, match="no edges") as err:
+            run_experiment(small_config(pattern=LabeledGraph(3, frozenset())))
+        assert err.value.reason == "edgeless"
+
     def test_degenerate_kernel_raises(self):
         with pytest.raises(DegenerateGraphonError):
             run_experiment(small_config(kernel=KernelSpec.constant(1.0), pattern=K3))
@@ -382,8 +391,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--pattern", "k1", "--kernel", "constant:0.3"],  # no edges: sigma2 fails
-            ["--pattern", "k1", "--kernel", "product", "--m", "8"],  # fails in both blocks
+            ["--pattern", "k1", "--kernel", "constant:0.3"],  # no edges: degenerate
+            ["--pattern", "k1", "--kernel", "product", "--m", "8"],  # refused before refinement
             ["--pattern", "k3", "--kernel", "constant:1.0"],  # degenerate kernel
         ],
         ids=["k1-constant", "k1-product", "k3-all-ones"],
@@ -508,6 +517,30 @@ class TestCli:
                 main([command, "--pattern", "k2", "--kernel", kernel, "--m", "0"])
             assert err.value.code == 2
             assert "argument --m: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["density", "regularity", "constants"])
+    def test_abc_cells_exits_2_naming_the_option(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--pattern", "k2", "--kernel", "product", "--m", "abc"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "argument --m: must be a positive integer, got 'abc'" in stderr
+        assert "_cells" not in stderr
+
+    @pytest.mark.parametrize("ref", ["", "."], ids=["empty", "dot"])
+    def test_directory_pattern_is_refused_as_a_name(self, ref, capsys):
+        # Path("") and Path(".") are the working directory, not a pattern file
+        assert main(["density", "--pattern", ref, "--kernel", "constant:0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: pattern {ref!r} is neither a file nor a builtin name\n"
+
+    @pytest.mark.parametrize("command", ["regularity", "constants"])
+    def test_edgeless_pattern_exits_2_as_degenerate(self, command, capsys):
+        assert main([command, "--pattern", "k1", "--kernel", "product", "--m", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("degenerate input: pattern has no edges")
 
     def test_pattern_file_loading(self, tmp_path, capsys):
         pattern_path = tmp_path / "k2.json"
