@@ -9,6 +9,11 @@ loopless quotients of the pattern (Lovasz, Large Networks and Graph
 Limits, 5.2), and each homomorphism count sums out pattern vertices one at
 a time. |Aut H| is the number of injective homomorphisms of H into itself,
 counted by the same sum on H's own adjacency matrix.
+
+The elimination is planned from the pattern alone (_plan) and run on the
+arrays (_run). A pattern's counting plan keeps the plan of each quotient,
+and a pinned vertex's sub-elimination is planned once and run for every
+host vertex, so counting a sample plans nothing.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -135,11 +140,13 @@ class CountingPlan:
     """inj(H, G) = sum of coefficient * hom(quotient, G) over the loopless
     quotients H/P, P a set partition of V(H), with the Moebius coefficient
     mu(P) = prod over blocks B of (-1)^(|B|-1) (|B|-1)!. Quotients with the
-    same edge set are merged and zero coefficients dropped. automorphisms is
-    |Aut H| = inj(H, H), the same sum on H's own adjacency matrix, exact
-    because every homomorphism count is at most 8^8 < 2^53."""
+    same edge set are merged and zero coefficients dropped. Each term is
+    (coefficient, quotient, the quotient's elimination plan), so a count
+    plans nothing. automorphisms is |Aut H| = inj(H, H), the same sum on
+    H's own adjacency matrix, exact because every homomorphism count is at
+    most 8^8 < 2^53."""
 
-    terms: tuple[tuple[int, LabeledGraph], ...]
+    terms: tuple[tuple[int, LabeledGraph, _Plan], ...]
     automorphisms: int
 
 
@@ -160,117 +167,204 @@ def _counting_plan(H: LabeledGraph) -> CountingPlan:
             blocks, ((labels[a - 1] + 1, labels[b - 1] + 1) for a, b in H.edges)
         )
         coefficients[quotient] = coefficients.get(quotient, 0) + mu
-    terms = tuple((c, F) for F, c in coefficients.items() if c != 0)
+    terms = tuple((c, F, _plan(tuple(range(1, F.vertex_count + 1)), tuple(F.edges)))
+                  for F, c in coefficients.items() if c != 0)
     A = _adjacency(H)
-    return CountingPlan(terms, sum(c * _hom(F, A) for c, F in terms))
+    return CountingPlan(terms, sum(c * _hom(F, plan, A) for c, F, plan in terms))
 
 
-def _rows(pair: dict, a: int, b: int) -> np.ndarray:
-    """Remove the pairwise factor between a and b from `pair` and return it
-    with a's index on the rows."""
-    M = pair.pop(_sorted_edge(a, b))
-    return M if a < b else M.T
+class _Plan(NamedTuple):
+    """The steps of one vertex elimination, worked out from the keys alone.
+    Vertices and edges are named by slot, their position in the unary and
+    pair lists; an edge that a merge adds takes the next free slot, up to
+    edge_slots. marks holds the marked vertices' slots, in mark order, and
+    axes, for each pairwise factor left between marks, its slot and the
+    mark positions of its rows and of its columns."""
+
+    steps: tuple
+    edge_slots: int
+    marks: tuple[int, ...]
+    axes: tuple[tuple[int, int, int], ...]
+
+
+def _plan(vertices: tuple, edges: tuple, marks: tuple[int, ...] = ()) -> _Plan:
+    """How to sum out the unmarked vertices among `vertices` (in unary order)
+    over pairwise factors on `edges` ((a, b) with a < b, in pair order).
+
+    The unmarked vertex of least degree goes first, the earliest in unary
+    order on a tie. Degree 0 is a sum ("sum"), degree 1 a matrix-vector
+    product into the neighbour ("message") and degree 2 a matrix product
+    into a factor between the two neighbours ("merge"), multiplied into
+    the factor already there, if any. When every unmarked vertex has degree
+    >= 3, the earliest of largest degree is pinned ("pin"), and the vertices
+    and edges left get a plan of their own, with slots of their own.
+    """
+    slot = {u: i for i, u in enumerate(vertices)}
+    live = {e: i for i, e in enumerate(edges)}  # edge -> slot, in pair order
+    unary, added, steps = list(vertices), len(edges), []
+
+    def take(a: int, b: int) -> tuple[int, bool]:
+        """Remove edge ab: its slot, and whether its factor is transposed to
+        put a's index on the rows."""
+        return live.pop(_sorted_edge(a, b)), a > b
+
+    while len(unary) > len(marks):
+        nbrs: dict[int, list[int]] = {u: [] for u in unary}
+        for a, b in live:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        free = [w for w in unary if w not in marks]
+        u = min(free, key=lambda w: len(nbrs[w]))
+        degree = len(nbrs[u])
+        if degree >= 3:
+            p = max(free, key=lambda w: len(nbrs[w]))
+            unary.remove(p)
+            rows = tuple((unary.index(w), *take(p, w)) for w in nbrs[p])
+            cut = not marks and len(rows) == len(unary)
+            sub = _plan(tuple(unary), tuple(live), marks)
+            steps.append(("pin", slot[p], rows, cut, tuple(slot[w] for w in unary),
+                          tuple(live.values()), sub))
+            return _Plan(tuple(steps), added, tuple(slot[w] for w in marks), ())
+        unary.remove(u)
+        if degree == 0:
+            steps.append(("sum", slot[u]))
+        elif degree == 1:
+            (w,) = nbrs[u]
+            steps.append(("message", slot[u], *take(w, u), slot[w]))
+        else:
+            w, x = nbrs[u]
+            left, right = take(w, u), take(u, x)
+            k = _sorted_edge(w, x)
+            merge = k in live
+            if not merge:
+                live[k], added = added, added + 1
+            steps.append(("merge", slot[u], *left, *right, w > x, live[k], merge))
+    axes = tuple((e, marks.index(a), marks.index(b)) for (a, b), e in live.items())
+    return _Plan(tuple(steps), added, tuple(slot[w] for w in marks), axes)
+
+
+def _run(plan: _Plan, unary: list, pair: list, size: int, W=None):
+    """Carry out `plan` on `size` host vertices (or blocks): unary[i] is the
+    factor of vertex slot i (None: all ones) and is used up, pair[e] the
+    factor of edge slot e, rows indexed by its smaller end. Each marked
+    vertex needs a unary array and is kept as one axis of the result, in
+    mark order; with no marks the result is a float64 scalar.
+
+    The checks that depend on the numbers are made here: a merge of a
+    vertex carrying W's block weights between two of W's own value
+    matrices takes W's cached product B diag(pi) B.
+    """
+    pair = pair + [None] * (plan.edge_slots - len(pair))
+    total = 1.0
+    for step in plan.steps:
+        kind, f = step[0], unary[step[1]]
+        if kind == "sum":
+            total *= size if f is None else f.sum()
+        elif kind == "message":
+            _, _, e, flip, w = step
+            M, pair[e] = pair[e], None
+            M = M.T if flip else M
+            message = M.sum(axis=1) if f is None else M @ f
+            unary[w] = message if unary[w] is None else unary[w] * message
+        elif kind == "merge":
+            _, _, e_left, flip_left, e_right, flip_right, flip, k, merge = step
+            left, right = pair[e_left], pair[e_right]
+            pair[e_left] = pair[e_right] = None
+            left, right = left.T if flip_left else left, right.T if flip_right else right
+            shared = W is not None and f is W.block_weights and all(
+                M is W.values or M.base is W.values for M in (left, right))
+            P = W._two_step(left, right) if shared else (left if f is None else left * f) @ right
+            if flip:
+                P = P.T
+            if merge:
+                if shared:  # read-only: scale a copy, laid out as P is
+                    P = P.copy(order="K")
+                P *= pair[k]  # P is a fresh product, so no other factor changes
+            pair[k] = P
+        else:
+            return total * _pin(step, f, unary, pair, size, W)
+    axes = len(plan.marks)
+    for i, u in enumerate(plan.marks):  # only marks remain: place each factor on its axes
+        shape = [1] * axes
+        shape[i] = size
+        total = total * unary[u].reshape(shape)
+    for e, i, j in plan.axes:  # total already has every axis
+        shape = [1] * axes
+        shape[i] = shape[j] = size
+        total *= (pair[e] if i < j else pair[e].T).reshape(shape)
+    return total
+
+
+def _pin(step: tuple, f, unary: list, pair: list, size: int, W):
+    """Sum over every host vertex a of the pin step's sub-plan, run with the
+    pinned vertex's rows at a on its neighbours and weighted by f[a]. With
+    no marks, when the pinned vertex is adjacent to every other remaining
+    vertex, each of them lies in a's neighbourhood and the host shrinks to
+    it. Each distinct row matrix is gathered, and each distinct pairwise
+    matrix cut, once per host vertex."""
+    _, _, rows, cut, vertex_slots, edge_slots, sub = step
+    sub_unary = [unary[i] for i in vertex_slots]
+    sub_pair = [pair[e] for e in edge_slots]
+    row_mats, which_row = _distinct([pair[e].T if flip else pair[e] for _, e, flip in rows])
+    rows = [(j, r) for (j, _, _), r in zip(rows, which_row)]
+    if cut:  # host vertex a's neighbourhood is nbhds[ends[a]:ends[a + 1]]
+        support = np.logical_or.reduce([R != 0 for R in row_mats])
+        ends = [0, *np.cumsum(np.count_nonzero(support, axis=1)).tolist()]
+        nbhds = support.nonzero()[1]
+        mats, which = _distinct(sub_pair)
+    total = np.zeros((size,) * len(sub.marks))
+    for a in range(size):
+        if f is not None and f[a] == 0:
+            continue
+        a_pair, a_size, keep = sub_pair, size, slice(None)
+        if cut:
+            lo, hi = ends[a], ends[a + 1]
+            if lo == hi:
+                continue
+            if hi - lo < size:  # a cut keeping every vertex would only copy
+                keep = nbhds[lo:hi]
+                cuts = [M[keep][:, keep] for M in mats]
+                a_pair, a_size = [cuts[i] for i in which], hi - lo
+        gathered = [R[a, keep] for R in row_mats]
+        a_unary = sub_unary.copy()
+        for j, r in rows:
+            a_unary[j] = gathered[r] if sub_unary[j] is None else sub_unary[j][keep] * gathered[r]
+        h = _run(sub, a_unary, a_pair, a_size, W)
+        # not +=, which with no marks would add in place to a slow 0-d array
+        total = total + (h if f is None else f[a] * h)
+    return total
+
+
+def _distinct(arrays: list) -> tuple[list, list[int]]:
+    """The distinct arrays of `arrays`, by identity, and the index of each
+    entry of `arrays` among them."""
+    index: dict[int, tuple[int, np.ndarray]] = {}
+    for M in arrays:
+        index.setdefault(id(M), (len(index), M))
+    return [M for _, M in index.values()], [index[id(M)][0] for M in arrays]
 
 
 def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = (), W=None):
     """Sum over maps of the unmarked pattern vertices into `size` host
     vertices (or blocks) of the product of the unary factors (None: all
     ones) and the pairwise factors, keyed (a, b) with a < b and rows indexed
-    by a. Each marked vertex needs a unary array and is kept as one axis of
-    the result, in mark order; with no marks the result is a float64 scalar.
-
-    Vertices of degree 0, 1 and 2 are summed out by a sum, a matrix-vector
-    product and a matrix product; when every remaining unmarked vertex has
-    degree >= 3, the one of largest degree is pinned to each host vertex in
-    turn. Counting on a 0/1 matrix, every intermediate entry is an integer
-    of at most n^|V(H)|, which float64 holds exactly under EXACT_COUNT_BOUND.
+    by a: the plan of the keys (_plan), run on the factors (_run). Each
+    marked vertex needs a unary array and is kept as one axis of the
+    result, in mark order; with no marks the result is a float64 scalar.
+    Counting on a 0/1 matrix, every intermediate entry is an integer of at
+    most n^|V(H)|, which float64 holds exactly under EXACT_COUNT_BOUND.
 
     W is the step graphon whose values and block weights the factors are
-    drawn from, if any: a vertex of degree 2 with W's block weights between
-    two of W's own value matrices takes W's cached product B diag(pi) B.
+    drawn from, if any, so that its cached product B diag(pi) B is used.
     """
-    unary = dict(unary)
-    pair = dict(pair)
-    total = 1.0
-    while len(unary) > len(marks):
-        nbrs: dict[int, list[int]] = {u: [] for u in unary}
-        for a, b in pair:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        free = [w for w in unary if w not in marks] if marks else unary
-        u = min(free, key=lambda w: len(nbrs[w]))
-        degree = len(nbrs[u])
-        if degree >= 3:
-            return total * _pin(unary, pair, nbrs, size, marks, W)
-        f = unary.pop(u)
-        if degree == 0:
-            total *= size if f is None else f.sum()
-        elif degree == 1:
-            (w,) = nbrs[u]
-            M = _rows(pair, w, u)
-            message = M.sum(axis=1) if f is None else M @ f
-            unary[w] = message if unary[w] is None else unary[w] * message
-        else:
-            w, x = nbrs[u]
-            left, right = _rows(pair, w, u), _rows(pair, u, x)
-            shared = W is not None and f is W.block_weights and all(
-                M is W.values or M.base is W.values for M in (left, right))
-            P = W._two_step(left, right) if shared else (left if f is None else left * f) @ right
-            if w > x:
-                P = P.T
-            k = _sorted_edge(w, x)
-            if k in pair:
-                if shared:  # read-only: scale a copy, laid out as P is
-                    P = P.copy(order="K")
-                P *= pair[k]  # P is a fresh product, so no other factor changes
-            pair[k] = P
-    for u in marks:  # only marks remain: place each factor on its axes
-        total = total * unary[u].reshape([size if w == u else 1 for w in marks])
-    for (a, b), M in pair.items():  # total already has every axis
-        M = M if marks.index(a) < marks.index(b) else M.T
-        total *= M.reshape([size if w in (a, b) else 1 for w in marks])
-    return total
+    plan = _plan(tuple(unary), tuple(pair), marks)
+    return _run(plan, list(unary.values()), list(pair.values()), size, W)
 
 
-def _pin(unary: dict, pair: dict, nbrs: dict, size: int, marks: tuple[int, ...], W):
-    """Sum of _eliminate over every host vertex for the unmarked vertex of
-    largest degree. With no marks, when that vertex is adjacent to every
-    other remaining vertex, each of them lies in its neighbourhood and the
-    host shrinks to it."""
-    p = max((w for w in unary if w not in marks), key=lambda w: len(nbrs[w]))
-    f = unary.pop(p)
-    rows = {w: _rows(pair, p, w) for w in nbrs[p]}
-    support = None
-    if not marks and len(rows) == len(unary):
-        distinct_rows = {id(R): R for R in rows.values()}.values()
-        support = np.logical_or.reduce([R != 0 for R in distinct_rows])
-        distinct = {id(M): M for M in pair.values()}
-    total = np.zeros((size,) * len(marks))
-    for a in range(size):
-        if f is not None and f[a] == 0:
-            continue
-        sub_pair, sub_size, keep = pair, size, slice(None)
-        if support is not None:
-            nbhd = np.flatnonzero(support[a])
-            if nbhd.size == 0:
-                continue
-            if nbhd.size < size:  # a cut keeping every vertex would only copy
-                cuts = {i: M[nbhd][:, nbhd] for i, M in distinct.items()}
-                sub_pair = {k: cuts[id(M)] for k, M in pair.items()}
-                sub_size, keep = nbhd.size, nbhd
-        sub_unary = dict(unary)
-        for w, R in rows.items():
-            sub_unary[w] = R[a, keep] if unary[w] is None else unary[w][keep] * R[a, keep]
-        h = _eliminate(sub_unary, sub_pair, sub_size, marks, W)
-        # not +=, which with no marks would add in place to a slow 0-d array
-        total = total + (h if f is None else f[a] * h)
-    return total
-
-
-def _hom(F: LabeledGraph, A: np.ndarray) -> int:
-    """Homomorphisms from F into the host with 0/1 adjacency matrix A."""
-    return round(float(_eliminate(dict.fromkeys(range(1, F.vertex_count + 1)),
-                                  dict.fromkeys(F.edges, A), A.shape[0])))
+def _hom(F: LabeledGraph, plan: _Plan, A: np.ndarray) -> int:
+    """Homomorphisms from F into the host with 0/1 adjacency matrix A, by
+    F's plan (no unary factors and A on every edge)."""
+    return round(float(_run(plan, [None] * F.vertex_count, [A] * F.edge_count, A.shape[0])))
 
 
 def _adjacency(G: LabeledGraph | np.ndarray) -> np.ndarray:
@@ -300,7 +394,7 @@ def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
     """
     A = _adjacency(G)
     n, v = A.shape[0], H.vertex_count
-    plan = H.counting_plan  # refuses patterns above PATTERN_VERTEX_BOUND
+    counting = H.counting_plan  # refuses patterns above PATTERN_VERTEX_BOUND
     if v > n:
         raise ValueError("pattern has more vertices than the host graph")
     if n**v >= EXACT_COUNT_BOUND:
@@ -308,7 +402,7 @@ def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
             f"host size {n} to the power {v} reaches 2^53: float64 homomorphism "
             "counts would no longer be exact"
         )
-    inj = sum(c * _hom(F, A) for c, F in plan.terms)
-    if inj % plan.automorphisms != 0:
+    inj = sum(c * _hom(F, plan, A) for c, F, plan in counting.terms)
+    if inj % counting.automorphisms != 0:
         raise RuntimeError("injective homomorphism count not divisible by |Aut|")
-    return inj // plan.automorphisms
+    return inj // counting.automorphisms

@@ -163,7 +163,11 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     S2 = np.zeros((W.block_count, W.block_count))
     for e in edges:
         S2 += conditional_density(LabeledGraph(H.vertex_count, H.edges - {e}), e, W)
-    weighted = W.values * (1.0 - W.values) * S2**2
+    # W (1 - W) S2^2 in place, rounded as W * (1 - W) * S2**2 rounds it
+    weighted = 1.0 - W.values
+    weighted *= W.values
+    S2 *= S2
+    weighted *= S2
     total = float(W.block_weights @ weighted @ W.block_weights)
     return 2.0 * total / (aut * aut)
 

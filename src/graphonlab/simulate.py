@@ -4,7 +4,9 @@ Runs replicated W-random graph counts, compares the empirical law of the
 normalized statistic against draws from the theoretical limit, and emits
 machine-readable reports. All randomness derives from one master seed via
 per-purpose Philox streams, so results are byte-identical across runs and
-worker counts.
+worker counts. With k workers the replicates are split into k contiguous
+chunks: the calling process counts the first, k - 1 worker processes the
+rest.
 """
 
 from __future__ import annotations
@@ -285,8 +287,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if workers == 1:
         counts = list(map(count, seeds))
     else:  # one contiguous chunk of seeds per worker, counts in seed order
-        with ProcessPoolExecutor(workers) as pool:
-            counts = list(pool.map(count, seeds, chunksize=math.ceil(len(seeds) / workers)))
+        chunk = math.ceil(len(seeds) / workers)
+        rest = seeds[chunk:]  # chunks 2, 3, ... go to the pool; this process counts the first
+        with ProcessPoolExecutor(math.ceil(len(rest) / chunk)) as pool:
+            pooled = pool.map(count, rest, chunksize=chunk)
+            counts = [*map(count, seeds[:chunk]), *pooled]
     records = tuple(_record(H, n, s, c, mu, law) for s, c in zip(seeds, counts))
 
     normalized = np.array([r.normalized for r in records])

@@ -24,7 +24,7 @@ from graphonlab import (
     sigma_squared,
     two_point_graphon,
 )
-from graphonlab import density
+from graphonlab import density, graphs
 from graphonlab.graphs import _eliminate
 
 K2 = LabeledGraph.complete(2)
@@ -81,6 +81,22 @@ class TestHomDensity:
         exact = float(cli._product_density(ZOO[name], m))
         W = discretize(KernelSpec.product(), m)
         assert hom_density(ZOO[name], W) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["k4", "k5", "wheel4", "k4_pendant", "k4_subdivided"])
+    @pytest.mark.parametrize("m", [2, 16, 64])
+    def test_pinned_density_cut_to_the_pinned_blocks_half(self, name, m, monkeypatch):
+        # two_block:0.5 is 0 between its halves, so a pin at a block of one
+        # half runs its sub-elimination on that half's m/2 blocks only; the
+        # density of a connected pattern is 2 (1/2)^v 0.5^e
+        H, W = ZOO[name], discretize(KernelSpec.two_block_diagonal(0.5), m)
+        sizes = []
+        original = graphs._run
+        monkeypatch.setattr(graphs, "_run", lambda *args: sizes.append(args[3]) or original(*args))
+        t = hom_density(H, W)
+        assert len(sizes) > 1 and sizes == [m] + [m // 2] * (len(sizes) - 1)
+        assert t == pytest.approx(2 * 0.5 ** (H.vertex_count + H.edge_count), rel=1e-12)
+        if m <= 16:  # the oracle's einsum takes seconds for five vertices on 64 blocks
+            assert t == pytest.approx(einsum_density(H, W), rel=1e-12)
 
     def test_multigraph_density_powers_the_kernel(self):
         # the oracle's strong-join densities: an edge of multiplicity 2 is W^2

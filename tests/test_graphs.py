@@ -15,7 +15,7 @@ from counting_oracles import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from limit_oracles import strong_edge_join, vertex_join, weak_edge_join
+from limit_oracles import einsum_density, strong_edge_join, vertex_join, weak_edge_join
 
 from graphonlab import graphs
 from graphonlab import (
@@ -24,6 +24,8 @@ from graphonlab import (
     LabeledGraph,
     as_step_graphon,
     count_copies,
+    discretize,
+    hom_density,
     limit_law,
     mean_count,
     run_experiment,
@@ -357,6 +359,70 @@ class TestCountCopies:
         run_experiment(ExperimentConfig(pattern=H, kernel=kernel, n=9, replicates=3,
                                         master_seed=0, reference_draws=1_000))
         assert calls == [H]
+
+
+
+def with_extra_vertex(G: LabeledGraph, universal: bool) -> LabeledGraph:
+    """G plus a vertex n+1 adjacent to every vertex of G, or to none."""
+    n = G.vertex_count
+    return LabeledGraph.from_edges(n + 1, [*G.edges, *((v, n + 1) for v in range(1, n + 1) if universal)])
+
+
+class TestEliminationPlan:
+    def planner_calls(self, monkeypatch) -> list:
+        """The vertex tuple of every plan built from here on."""
+        calls = []
+        original = graphs._plan
+        monkeypatch.setattr(graphs, "_plan", lambda *args: calls.append(args[0]) or original(*args))
+        return calls
+
+    def test_counts_plan_nothing_once_the_pattern_is_planned(self, monkeypatch):
+        H = LabeledGraph.complete(4)
+        assert all(len(term) == 3 for term in H.counting_plan.terms)
+        calls = self.planner_calls(monkeypatch)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            G = random_graph(rng, 14, 0.6)
+            assert count_copies(H, G) * 24 == backtrack_injective_homomorphisms(H, G)
+        assert calls == []
+
+    @pytest.mark.parametrize("name,planned", [
+        ("k4", [4, 3]), ("k5", [5, 4, 3]), ("wheel4", [5, 4]), ("k4_pendant", [5, 3]),
+    ])
+    @pytest.mark.parametrize("m", [4, 16])
+    def test_each_pin_plans_its_sub_elimination_once(self, name, planned, m, monkeypatch):
+        # a density plans its elimination and the sub-elimination of each pin
+        # once, whatever the number of blocks the pinned vertex runs over
+        W = discretize(KernelSpec.product(), m)
+        calls = self.planner_calls(monkeypatch)
+        runs = []
+        original = graphs._run
+        monkeypatch.setattr(graphs, "_run", lambda *args: runs.append(args[3]) or original(*args))
+        t = hom_density(ZOO[name], W)
+        assert [len(vertices) for vertices in calls] == planned
+        assert len(runs) == sum(m**depth for depth in range(len(planned)))
+        assert t == pytest.approx(einsum_density(ZOO[name], W), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["k4", "k5", "wheel4", "diamond", "k4_pendant", "k4_subdivided"])
+    @pytest.mark.parametrize("universal", [False, True], ids=["isolated", "universal"])
+    def test_counts_on_hosts_with_an_isolated_or_a_universal_vertex(self, name, universal,
+                                                                     monkeypatch):
+        # at an isolated vertex a pin's neighbourhood is empty (or, after a
+        # pendant, its weight is 0); next to a universal vertex, a pinned row
+        # merged from two edges (k4_subdivided) is nonzero everywhere, so the
+        # cut keeps every host vertex and the pinned runs are uncut
+        H = ZOO[name]
+        sizes = []
+        original = graphs._run
+        monkeypatch.setattr(graphs, "_run", lambda *args: sizes.append(args[3]) or original(*args))
+        rng = np.random.default_rng(40 + sorted(ZOO).index(name))
+        for n in (9, 16):
+            G = with_extra_vertex(random_graph(rng, n, 0.5), universal)
+            expected = backtrack_injective_homomorphisms(H, G)
+            assert count_copies(H, G) * automorphisms_by_copies(H) == expected
+            if name == "k4_subdivided" and universal:
+                assert sizes.count(n + 1) > n + len(H.counting_plan.terms)
+            sizes.clear()
 
 
 def test_falling_factorial():

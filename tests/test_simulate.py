@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -261,6 +262,59 @@ class TestRunExperiment:
         pooled = run_experiment(cfg)
         assert [r.raw_count for r in pooled.records] == [r.raw_count for r in serial.records]
         assert pooled.to_canonical_json() == serial.to_canonical_json()
+
+    def test_the_pool_forks_one_process_fewer_than_the_workers(self, monkeypatch):
+        # the calling process counts the first chunk itself
+        built = []
+
+        class Pool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Pool)
+        cpus(monkeypatch, 3)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GRAPHONLAB_THREADS", threads)
+            run_experiment(small_config(replicates=7, n=25))
+        assert built == [1, 2]
+
+    def test_the_caller_counts_the_first_chunk(self, monkeypatch):
+        # samples drawn in the pool's processes are not seen here
+        seen, original = [], simulate.sample_adjacency
+        monkeypatch.setattr(simulate, "sample_adjacency",
+                            lambda W, n, seed: seen.append(seed) or original(W, n, seed))
+        cpus(monkeypatch, 3)
+        for threads, chunk in (("2", 4), ("3", 3)):  # 7 replicates in chunks of 4, 3 / 3, 3, 1
+            seen.clear()
+            monkeypatch.setenv("GRAPHONLAB_THREADS", threads)
+            run_experiment(small_config(replicates=7, n=25))
+            assert seen == [replicate_seed(71, i) for i in range(chunk)]
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_an_exception_while_counting_propagates(self, where, monkeypatch):
+        caller, original = os.getpid(), simulate.count_copies
+
+        def count(H, A):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ArithmeticError(f"count failed in the {where}")
+            return original(H, A)
+
+        monkeypatch.setattr(simulate, "count_copies", count)
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "2")
+        cpus(monkeypatch, 2)
+        with pytest.raises(ArithmeticError, match=f"count failed in the {where}"):
+            run_experiment(small_config(replicates=7, n=25))
+
+    def test_replicates_csv_is_byte_identical_for_1_2_and_3_workers(self, tmp_path, monkeypatch):
+        cpus(monkeypatch, 3)
+        written = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GRAPHONLAB_THREADS", threads)
+            _, csv_path = run_experiment(small_config(replicates=7, n=25)).write(tmp_path / threads)
+            written.append(csv_path.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert written[0].count(b"\n") == 8  # the header and 7 replicates
 
     def test_edgeless_pattern_raises_before_sampling(self, monkeypatch):
         def refuse(*args):
