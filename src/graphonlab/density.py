@@ -3,9 +3,9 @@
 The density of a pattern F in a step kernel W is the sum over all maps from
 V(F) to blocks of the product of block weights and edge values: the copy
 count's sum over labellings, with blocks in place of host vertices. It is
-evaluated by the vertex elimination that counts copies (graphs._eliminate),
-with the block weights as unary factors and the kernel on every edge; a
-conditional density keeps its marked vertices as axes of the result.
+evaluated by the elimination that counts copies, planned by graphs._plan
+and run by graphs._run, with the block weights as unary factors and the
+kernel on every edge; a conditional density keeps its marks as axes.
 Densities on one graphon share its two-step product B diag(pi) B, built
 once per orientation of its factors; sharing is exact because B is exactly
 symmetric and each orientation is built as a contraction would build it.
@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph, _eliminate
+from . import graphs
+from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph
 from .graphon import StepGraphon
 
 
@@ -28,8 +29,9 @@ def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> n
     v, k = F.vertex_count, W.block_count
     if v > PATTERN_VERTEX_BOUND:
         raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
-    unary = {u: np.ones(k) if u in marks else W.block_weights for u in range(1, v + 1)}
-    return _eliminate(unary, dict.fromkeys(F.edges, W.values), k, marks, W)
+    unary = [np.ones(k) if u in marks else W.block_weights for u in range(1, v + 1)]
+    plan = graphs._plan(tuple(range(1, v + 1)), tuple(F.edges), marks)
+    return graphs._run(plan, unary, [W.values] * F.edge_count, k, W)
 
 
 def hom_density(F: LabeledGraph, W: StepGraphon) -> float:

@@ -11,9 +11,8 @@ a time. |Aut H| is the number of injective homomorphisms of H into itself,
 counted by the same sum on H's own adjacency matrix.
 
 The elimination is planned from the pattern alone (_plan) and run on the
-arrays (_run). A pattern's counting plan keeps the plan of each quotient,
-and a pinned vertex's sub-elimination is planned once and run for every
-host vertex, so counting a sample plans nothing.
+arrays (_run). _plan is memoized: each shape, and each pin's sub-elimination,
+is planned once and its plan shared, so counting a sample plans nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -141,12 +140,12 @@ class CountingPlan:
     quotients H/P, P a set partition of V(H), with the Moebius coefficient
     mu(P) = prod over blocks B of (-1)^(|B|-1) (|B|-1)!. Quotients with the
     same edge set are merged and zero coefficients dropped. Each term is
-    (coefficient, quotient, the quotient's elimination plan), so a count
-    plans nothing. automorphisms is |Aut H| = inj(H, H), the same sum on
-    H's own adjacency matrix, exact because every homomorphism count is at
-    most 8^8 < 2^53."""
+    (coefficient, quotient); the quotients' elimination plans are kept by
+    _plan. automorphisms is |Aut H| = inj(H, H), the same sum on H's own
+    adjacency matrix, exact because every homomorphism count is at most
+    8^8 < 2^53."""
 
-    terms: tuple[tuple[int, LabeledGraph, _Plan], ...]
+    terms: tuple[tuple[int, LabeledGraph], ...]
     automorphisms: int
 
 
@@ -167,10 +166,9 @@ def _counting_plan(H: LabeledGraph) -> CountingPlan:
             blocks, ((labels[a - 1] + 1, labels[b - 1] + 1) for a, b in H.edges)
         )
         coefficients[quotient] = coefficients.get(quotient, 0) + mu
-    terms = tuple((c, F, _plan(tuple(range(1, F.vertex_count + 1)), tuple(F.edges)))
-                  for F, c in coefficients.items() if c != 0)
+    terms = tuple((c, F) for F, c in coefficients.items() if c != 0)
     A = _adjacency(H)
-    return CountingPlan(terms, sum(c * _hom(F, plan, A) for c, F, plan in terms))
+    return CountingPlan(terms, sum(c * _hom(F, A) for c, F in terms))
 
 
 class _Plan(NamedTuple):
@@ -187,9 +185,12 @@ class _Plan(NamedTuple):
     axes: tuple[tuple[int, int, int], ...]
 
 
-def _plan(vertices: tuple, edges: tuple, marks: tuple[int, ...] = ()) -> _Plan:
+@cache
+def _plan(vertices: tuple, edges: tuple, marks: tuple[int, ...]) -> _Plan:
     """How to sum out the unmarked vertices among `vertices` (in unary order)
     over pairwise factors on `edges` ((a, b) with a < b, in pair order).
+    The one place a plan is built or kept: memoized on these arguments, so
+    every contraction of one shape shares its plan, which _run only reads.
 
     The unmarked vertex of least degree goes first, the earliest in unary
     order on a tie. Degree 0 is a sum ("sum"), degree 1 a matrix-vector
@@ -344,26 +345,10 @@ def _distinct(arrays: list) -> tuple[list, list[int]]:
     return [M for _, M in index.values()], [index[id(M)][0] for M in arrays]
 
 
-def _eliminate(unary: dict, pair: dict, size: int, marks: tuple[int, ...] = (), W=None):
-    """Sum over maps of the unmarked pattern vertices into `size` host
-    vertices (or blocks) of the product of the unary factors (None: all
-    ones) and the pairwise factors, keyed (a, b) with a < b and rows indexed
-    by a: the plan of the keys (_plan), run on the factors (_run). Each
-    marked vertex needs a unary array and is kept as one axis of the
-    result, in mark order; with no marks the result is a float64 scalar.
-    Counting on a 0/1 matrix, every intermediate entry is an integer of at
-    most n^|V(H)|, which float64 holds exactly under EXACT_COUNT_BOUND.
-
-    W is the step graphon whose values and block weights the factors are
-    drawn from, if any, so that its cached product B diag(pi) B is used.
-    """
-    plan = _plan(tuple(unary), tuple(pair), marks)
-    return _run(plan, list(unary.values()), list(pair.values()), size, W)
-
-
-def _hom(F: LabeledGraph, plan: _Plan, A: np.ndarray) -> int:
-    """Homomorphisms from F into the host with 0/1 adjacency matrix A, by
-    F's plan (no unary factors and A on every edge)."""
+def _hom(F: LabeledGraph, A: np.ndarray) -> int:
+    """Homomorphisms from F into the host with 0/1 adjacency matrix A: no
+    unary factors and A on every edge, exact under EXACT_COUNT_BOUND."""
+    plan = _plan(tuple(range(1, F.vertex_count + 1)), tuple(F.edges), ())
     return round(float(_run(plan, [None] * F.vertex_count, [A] * F.edge_count, A.shape[0])))
 
 
@@ -402,7 +387,7 @@ def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
             f"host size {n} to the power {v} reaches 2^53: float64 homomorphism "
             "counts would no longer be exact"
         )
-    inj = sum(c * _hom(F, plan, A) for c, F, plan in counting.terms)
+    inj = sum(c * _hom(F, A) for c, F in counting.terms)
     if inj % counting.automorphisms != 0:
         raise RuntimeError("injective homomorphism count not divisible by |Aut|")
     return inj // counting.automorphisms

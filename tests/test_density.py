@@ -24,8 +24,7 @@ from graphonlab import (
     sigma_squared,
     two_point_graphon,
 )
-from graphonlab import density, graphs
-from graphonlab.graphs import _eliminate
+from graphonlab import graphs
 
 K2 = LabeledGraph.complete(2)
 K3 = LabeledGraph.complete(3)
@@ -317,6 +316,26 @@ def _results(H: LabeledGraph, W: StepGraphon) -> list:
             *first_order(H, W), sigma_squared(H, W), two_point_graphon(H, W).values]
 
 
+def test_densities_plan_each_shape_once():
+    # t, the one- and two-point conditionals and sigma2's H - ab patterns,
+    # built afresh on every call, are planned on the first graphon only
+    patterns = [ZOO["k4"], ZOO["path3"]]
+
+    def constants(W: StepGraphon) -> None:
+        for H in patterns:
+            first_order(H, W)
+            sigma_squared(H, W)
+            two_point_graphon(H, W)
+
+    graphs._plan.cache_clear()
+    constants(discretize(KernelSpec.product(), 4))
+    misses = graphs._plan.cache_info().misses
+    assert misses > 0
+    for W in (discretize(KernelSpec.product(), 8), as_step_graphon(_random_custom(3))):
+        constants(W)
+    assert graphs._plan.cache_info().misses == misses
+
+
 class TestSharedTwoStepProduct:
     @pytest.mark.parametrize("spec", [
         KernelSpec.product(), _random_custom(3), _random_custom(7), _random_custom(20),
@@ -336,6 +355,7 @@ class TestSharedTwoStepProduct:
                 warm = _results(H, W)
                 assert all(np.array_equal(a, b) for a, b in zip(warm, fresh)), name
                 with monkeypatch.context() as patch:  # no graphon, so no shared product
-                    patch.setattr(density, "_eliminate", lambda *args: _eliminate(*args[:4]))
+                    run = graphs._run
+                    patch.setattr(graphs, "_run", lambda *args: run(*args[:4]))
                     unshared = _results(H, W)
                 assert all(np.array_equal(a, b) for a, b in zip(warm, unshared)), name

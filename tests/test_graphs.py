@@ -1,6 +1,7 @@
 """Graphs module: copy counting and the counting plan's |Aut H|; the
 copy-set and join oracles of the tests."""
 
+import functools
 import itertools
 import math
 
@@ -23,6 +24,7 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     as_step_graphon,
+    conditional_density,
     count_copies,
     discretize,
     hom_density,
@@ -370,21 +372,54 @@ def with_extra_vertex(G: LabeledGraph, universal: bool) -> LabeledGraph:
 
 class TestEliminationPlan:
     def planner_calls(self, monkeypatch) -> list:
-        """The vertex tuple of every plan built from here on."""
+        """The key (vertices, edges, marks) of every plan built from here on:
+        the planner starts again from an empty cache and records each build."""
         calls = []
-        original = graphs._plan
-        monkeypatch.setattr(graphs, "_plan", lambda *args: calls.append(args[0]) or original(*args))
+        build = graphs._plan.__wrapped__
+        monkeypatch.setattr(graphs, "_plan",
+                            functools.cache(lambda *key: calls.append(key) or build(*key)))
         return calls
 
-    def test_counts_plan_nothing_once_the_pattern_is_planned(self, monkeypatch):
+    def test_counts_plan_nothing_once_the_pattern_is_planned(self):
         H = LabeledGraph.complete(4)
-        assert all(len(term) == 3 for term in H.counting_plan.terms)
-        calls = self.planner_calls(monkeypatch)
+        assert all(len(term) == 2 for term in H.counting_plan.terms)
+        misses = graphs._plan.cache_info().misses
         rng = np.random.default_rng(17)
         for _ in range(5):
             G = random_graph(rng, 14, 0.6)
             assert count_copies(H, G) * 24 == backtrack_injective_homomorphisms(H, G)
-        assert calls == []
+        assert graphs._plan.cache_info().misses == misses
+
+    def test_shared_plans_stay_as_built(self, monkeypatch):
+        # every contraction of one shape runs the one cached plan, so after
+        # counts and densities each cached plan must still be the plan a
+        # fresh build gives, and a warm cache must give the bits of a cold one
+        keys = self.planner_calls(monkeypatch)
+        W = discretize(KernelSpec.product(), 8)
+        rng = np.random.default_rng(23)
+        hosts = [random_graph(rng, 11, 0.6) for _ in range(2)]
+        patterns = [K4, LabeledGraph.complete(5), LabeledGraph.cycle(5)]
+
+        def results() -> list:
+            out = []
+            for H in patterns:
+                out += [count_copies(H, G) for G in hosts]
+                out += [hom_density(H, W), conditional_density(H, (1,), W),
+                        conditional_density(H, (2, 1), W)]
+            return out
+
+        cold = results()  # the recording planner starts from an empty cache
+        built = len(keys)
+        warm = results()
+        assert len(keys) == built > 0
+        assert all(np.array_equal(a, b) for a, b in zip(cold, warm, strict=True))
+        cached = [graphs._plan(*key) for key in keys]
+        assert len(keys) == built
+        build = graphs._plan.__wrapped__
+        monkeypatch.setattr(graphs, "_plan", build)  # a pin's sub-plan is built afresh too
+        for key, plan in zip(keys, cached):
+            hash(plan)  # tuples all the way down: nothing in a plan can be altered
+            assert plan == build(*key), key
 
     @pytest.mark.parametrize("name,planned", [
         ("k4", [4, 3]), ("k5", [5, 4, 3]), ("wheel4", [5, 4]), ("k4_pendant", [5, 3]),
@@ -399,7 +434,7 @@ class TestEliminationPlan:
         original = graphs._run
         monkeypatch.setattr(graphs, "_run", lambda *args: runs.append(args[3]) or original(*args))
         t = hom_density(ZOO[name], W)
-        assert [len(vertices) for vertices in calls] == planned
+        assert [len(vertices) for vertices, _, _ in calls] == planned
         assert len(runs) == sum(m**depth for depth in range(len(planned)))
         assert t == pytest.approx(einsum_density(ZOO[name], W), rel=1e-12)
 

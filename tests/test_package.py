@@ -75,14 +75,14 @@ def test_no_module_holds_join_machinery():
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphonlab"]
     for module in modules:
         # nor a twin of limits.first_order, the one home of t, defect, tau2 and
-        # d_wh, nor of count_copies or the counting plan's |Aut H|, nor
-        # test-only API
+        # d_wh, nor of count_copies or the counting plan's |Aut H|, nor a
+        # second front end to the elimination engine, nor test-only API
         for name in ("vertex_join", "weak_edge_join", "strong_edge_join", "MultiGraph",
                      "_one_point_sum", "_density_and_one_point_sum", "_defect",
                      "_tau_squared_of", "_degree_value", "is_regular", "_first_order",
                      "regularity_defect", "tau_squared", "dwh",
                      "count_injective_homomorphisms", "_count_chunk", "automorphism_count",
-                     "_cell_average_step"):
+                     "_cell_average_step", "_eliminate"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("has_edge", "empty"):
         assert not hasattr(LabeledGraph, name), f"LabeledGraph.{name}"
