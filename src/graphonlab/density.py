@@ -30,7 +30,7 @@ def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> n
     if v > PATTERN_VERTEX_BOUND:
         raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
     unary = [np.ones(k) if u in marks else W.block_weights for u in range(1, v + 1)]
-    plan = graphs._plan(tuple(range(1, v + 1)), tuple(F.edges), marks)
+    plan = graphs._plan(tuple(range(1, v + 1)), F.edges, marks)
     return graphs._run(plan, unary, [W.values] * F.edge_count, k, W)
 
 

@@ -1,7 +1,9 @@
 """Finite labeled graphs and copy counting.
 
-Vertices are labeled 1..n throughout. Edges are unordered pairs stored as
-(a, b) with a < b. Graphs are immutable and safe to share across workers.
+Vertices are labeled 1..n throughout. A graph keeps its edges as one
+sorted tuple of distinct pairs (a, b) with a < b, so equal graphs list
+their edges alike and every contraction, JSON dump and edge sum follows
+that one order. Graphs are immutable and safe to share across workers.
 
 Copies are counted in the homomorphism basis on a 0/1 adjacency matrix:
 injective homomorphisms are a Moebius sum of homomorphism counts of the
@@ -44,24 +46,30 @@ def _sorted_edge(a: int, b: int) -> Edge:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Simple graph on the vertex set {1, ..., vertex_count}."""
+    """Simple graph on the vertex set {1, ..., vertex_count}. The edges may
+    be given as any iterable of pairs (a, b) with a < b, each at most once;
+    they are kept as a sorted tuple."""
 
     vertex_count: int
-    edges: frozenset[Edge]
+    edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("vertex_count must be a positive integer")
-        for a, b in self.edges:
+        edges = tuple(sorted((a, b) for a, b in self.edges))
+        for i, (a, b) in enumerate(edges):
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (1 <= a < b <= self.vertex_count):
                 raise ValueError(f"edge ({a},{b}) out of range or not sorted")
+            if i and edges[i - 1] == (a, b):
+                raise ValueError(f"edge ({a},{b}) repeated")
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
         """Build a graph, normalizing edge orientation and dropping duplicates."""
-        return cls(vertex_count, frozenset(_sorted_edge(a, b) for a, b in edges))
+        return cls(vertex_count, {_sorted_edge(a, b) for a, b in edges})
 
     @classmethod
     def complete(cls, r: int) -> "LabeledGraph":
@@ -95,11 +103,8 @@ class LabeledGraph:
             deg[b - 1] += 1
         return tuple(deg)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
     def to_json_dict(self) -> dict:
-        return {"n": self.vertex_count, "edges": [list(e) for e in self.sorted_edges()]}
+        return {"n": self.vertex_count, "edges": [list(e) for e in self.edges]}
 
     @cached_property
     def counting_plan(self) -> "CountingPlan":
@@ -109,13 +114,15 @@ class LabeledGraph:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LabeledGraph":
-        """The graph of {"n": N, "edges": [[a, b], ...]}; any other shape is refused."""
+        """The graph of {"n": N, "edges": [[a, b], ...]}, each edge listed once
+        in either orientation; any other shape, or a repeated edge, is refused."""
         if not (isinstance(data, Mapping) and set(data) == {"n", "edges"}
                 and isinstance(data["edges"], list)
                 and all(isinstance(e, list) and len(e) == 2 for e in data["edges"])):
             raise ValueError(f'a pattern is {{"n": N, "edges": [[a, b], ...]}}, got {data!r}')
-        ends = ((_json_int(a, "edge end"), _json_int(b, "edge end")) for a, b in data["edges"])
-        return cls.from_edges(_json_int(data["n"], "pattern n"), ends)
+        ends = (_sorted_edge(_json_int(a, "edge end"), _json_int(b, "edge end"))
+                for a, b in data["edges"])
+        return cls(_json_int(data["n"], "pattern n"), ends)
 
 
 def _set_partitions(v: int) -> Iterator[tuple[int, ...]]:
@@ -348,7 +355,7 @@ def _distinct(arrays: list) -> tuple[list, list[int]]:
 def _hom(F: LabeledGraph, A: np.ndarray) -> int:
     """Homomorphisms from F into the host with 0/1 adjacency matrix A: no
     unary factors and A on every edge, exact under EXACT_COUNT_BOUND."""
-    plan = _plan(tuple(range(1, F.vertex_count + 1)), tuple(F.edges), ())
+    plan = _plan(tuple(range(1, F.vertex_count + 1)), F.edges, ())
     return round(float(_run(plan, [None] * F.vertex_count, [A] * F.edge_count, A.shape[0])))
 
 

@@ -48,10 +48,6 @@ class DegenerateGraphonError(ValueError):
     """The pair (H, W) pins the subgraph count almost surely: W is the
     all-ones kernel, H has no edges, or H has zero density in W."""
 
-    def __init__(self, reason: str, message: str) -> None:
-        self.reason = reason
-        super().__init__(message)
-
 
 @dataclass(frozen=True)
 class LimitLaw:
@@ -131,14 +127,12 @@ def first_order(H: LabeledGraph, W: StepGraphon) -> FirstOrder:
     """
     _require_probability_kernel(W)
     if np.all(W.values == 1.0):
-        raise DegenerateGraphonError("complete", "kernel is identically 1; count is a.s. constant")
+        raise DegenerateGraphonError("kernel is identically 1; count is a.s. constant")
     if not H.edges:
-        raise DegenerateGraphonError("edgeless", "pattern has no edges; count is a.s. C(n, v)")
+        raise DegenerateGraphonError("pattern has no edges; count is a.s. C(n, v)")
     t = hom_density(H, W)
     if t == 0.0:
-        raise DegenerateGraphonError(
-            "pattern_free", "pattern has zero density in the kernel; count is a.s. 0"
-        )
+        raise DegenerateGraphonError("pattern has zero density in the kernel; count is a.s. 0")
     v, aut = H.vertex_count, H.counting_plan.automorphisms
     S = sum(conditional_density(H, (a,), W) for a in range(1, v + 1))
     defect = float(np.max(np.abs(S / v - t)))
@@ -157,12 +151,11 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     """
     _require_probability_kernel(W)
     aut = H.counting_plan.automorphisms
-    edges = H.sorted_edges()
-    if not edges:
+    if not H.edges:
         raise ValueError("pattern has no edges")
     S2 = np.zeros((W.block_count, W.block_count))
-    for e in edges:
-        S2 += conditional_density(LabeledGraph(H.vertex_count, H.edges - {e}), e, W)
+    for e in H.edges:
+        S2 += conditional_density(LabeledGraph(H.vertex_count, set(H.edges) - {e}), e, W)
     # W (1 - W) S2^2 in place, rounded as W * (1 - W) * S2**2 rounds it
     weighted = 1.0 - W.values
     weighted *= W.values

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphonlab import LabeledGraph, StepGraphon, cli
+from graphonlab import KernelSpec, LabeledGraph, StepGraphon, cli
 
 _K4 = LabeledGraph.complete(4)
 
@@ -26,10 +26,25 @@ ZOO = {
     ),
     # pinning after elimination: weighted pin, and unequal pairwise factors
     "k4_pendant": LabeledGraph.from_edges(5, [*_K4.edges, (1, 5)]),
-    "k4_subdivided": LabeledGraph.from_edges(5, [*(_K4.edges - {(1, 2)}), (1, 5), (2, 5)]),
+    "k4_subdivided": LabeledGraph.from_edges(5, [*(set(_K4.edges) - {(1, 2)}), (1, 5), (2, 5)]),
     "two_edges": LabeledGraph.from_edges(4, [(1, 2), (3, 4)]),
     "isolated_vertex": LabeledGraph.from_edges(4, [(1, 2), (2, 3)]),
 }
+
+# An edge and a disjoint triangle, with vertex 3 isolated, and a seeded
+# 20-block custom kernel on which a plan that followed the order the edges
+# are listed in would move the last bits of t, tau2 and the normalized counts.
+EDGE_AND_TRIANGLE = [(1, 2), (4, 5), (4, 6), (5, 6)]
+
+
+def twenty_block_kernel() -> KernelSpec:
+    """Values uniform on [0.05, 0.95], symmetrised, then block weights
+    uniform on [0.25, 1.25], normalised; all drawn from seed 3."""
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.05, 0.95, size=(20, 20))
+    weights = rng.random(20) + 0.25
+    return KernelSpec.custom(weights / weights.sum(), (values + values.T) / 2.0)
+
 
 # The rows of the closed-form table, by name; the acceptance test runs every
 # row, and module tests name the rows for the function they test.

@@ -35,8 +35,9 @@ def automorphisms_by_copies(H: LabeledGraph) -> int:
 def exhaustive_copy_count(H: LabeledGraph, G: LabeledGraph) -> int:
     """Enumerate every |V(H)|-subset of V(G) and every copy of H on it, and
     check edge containment."""
+    host = set(G.edges)
     return sum(
-        copy <= G.edges
+        copy <= host
         for subset in itertools.combinations(range(1, G.vertex_count + 1), H.vertex_count)
         for copy in copy_edge_sets(H, subset)
     )

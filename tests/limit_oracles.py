@@ -139,10 +139,9 @@ def sigma_squared_by_joins(H: LabeledGraph, W: StepGraphon) -> float:
     """2/|Aut(H)|^2 times the sum over ordered pairs of edges of the
     weak-join density minus the strong-join density."""
     aut = automorphisms_by_copies(H)
-    edges = H.sorted_edges()
     total = 0.0
-    for e in edges:
-        for f in edges:
+    for e in H.edges:
+        for f in H.edges:
             total += einsum_density(weak_edge_join(H, e, H, f), W)
             total -= einsum_density(strong_edge_join(H, e, H, f), W)
     return 2.0 * total / (aut * aut)

@@ -192,9 +192,8 @@ class TestLimitLaw:
         monkeypatch.setattr(limits, "conditional_density", refuse)
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
         for compute in (first_order, limit_law):
-            with pytest.raises(DegenerateGraphonError, match="no edges") as err:
+            with pytest.raises(DegenerateGraphonError, match="pattern has no edges"):
                 compute(empty_graph(v), W)
-            assert err.value.reason == "edgeless"
 
     def test_degenerate_kernels_raise(self):
         with pytest.raises(DegenerateGraphonError):
@@ -230,7 +229,7 @@ def test_first_order_constants_refuse_the_same_kernels(H, W, error):
     for constant in (first_order, limit_law):
         with pytest.raises(error) as info:
             constant(H, W)
-        refusals.append((type(info.value), str(info.value), getattr(info.value, "reason", None)))
+        refusals.append((type(info.value), str(info.value)))
     assert refusals.count(refusals[0]) == 2
 
 

@@ -15,6 +15,7 @@ from conftest import ZOO
 
 import graphonlab
 from graphonlab import (
+    DegenerateGraphonError,
     KernelSpec,
     LabeledGraph,
     Spectrum,
@@ -84,9 +85,10 @@ def test_no_module_holds_join_machinery():
                      "count_injective_homomorphisms", "_count_chunk", "automorphism_count",
                      "_cell_average_step", "_eliminate"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    for name in ("has_edge", "empty"):
+    for name in ("has_edge", "empty", "sorted_edges"):
         assert not hasattr(LabeledGraph, name), f"LabeledGraph.{name}"
     assert not hasattr(StepGraphon, "degree")
+    assert not hasattr(DegenerateGraphonError("pattern has no edges"), "reason")
     for name in ("max_residual", "apply", "__len__"):
         assert not hasattr(Spectrum, name), f"Spectrum.{name}"
 
