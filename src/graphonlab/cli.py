@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed acceptance check, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -304,6 +305,7 @@ def _cells(text: str) -> int:
     return m
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphonlab",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numbers
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -137,6 +137,12 @@ class KernelSpec:
             raise ValueError(f"{self.kind} kernel {', '.join(entry[0])}: {err}") from err
         if W is not None and not W.is_probability_kernel:
             raise ValueError(f"{self.kind} kernel values must lie in [0,1], got {self.params!r}")
+        # a custom grid holds k^2 numbers, so hash them once; floats hash
+        # alike in every process, so a pickled spec keeps a valid hash
+        object.__setattr__(self, "_hash", hash(self.params))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def constant(cls, p: float) -> "KernelSpec":
@@ -200,12 +206,17 @@ def _kernel_error(got) -> ValueError:
     return ValueError(f'a kernel is an object with a "kind" and its keys ({known}), got {got!r}')
 
 
+@lru_cache(maxsize=2, typed=True)
 def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     """Step graphon on m uniform blocks whose values are the cell averages of
     the kernel. For a step kernel a cell lying inside one block gets exactly
     that block's value, and no value leaves the range of the block values;
     for the analytic kernel xy they are the products of the cell midpoints,
-    which keep edge densities exact."""
+    which keep edge densities exact.
+
+    The graphon is shared and immutable: the last two grids asked for (the m
+    and 2m of one `constants` call) are kept, so a repeated call returns the
+    same graphon, with the two-step products it has already built."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     W = spec.step_graphon()

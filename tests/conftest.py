@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphonlab import KernelSpec, LabeledGraph, StepGraphon, cli
+from graphonlab import KernelSpec, LabeledGraph, StepGraphon, cli, discretize
 
 _K4 = LabeledGraph.complete(4)
 
@@ -75,6 +75,13 @@ def random_step_graphon(rng: np.random.Generator, max_blocks: int = 4) -> StepGr
     values = rng.uniform(0.05, 0.95, size=(k, k))
     values = (values + values.T) / 2.0
     return StepGraphon(weights, values)
+
+
+@pytest.fixture
+def fresh_grids() -> None:
+    """`discretize` starts from an empty cache, so a grid the test asks for
+    is built afresh, with no two-step product that an earlier test kept."""
+    discretize.cache_clear()
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Graphon module: step kernels, evaluation, degrees, discretization."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -50,7 +51,7 @@ class TestStepGraphon:
         derived = StepGraphon(np.array([1.0]), np.array([[1.5]]))
         assert not derived.is_probability_kernel
 
-    def test_two_step_products_are_the_one_read_only_cache(self):
+    def test_two_step_products_are_the_one_read_only_cache(self, fresh_grids):
         # densities share B diag(pi) B, one array per orientation of its
         # factors built as a contraction builds it; nothing else is kept
         W = discretize(KernelSpec.product(), 16)
@@ -253,6 +254,43 @@ class TestDiscretize:
 
         e32, e64 = sup_error(32), sup_error(64)
         assert 0.35 <= e64 / e32 <= 0.65
+
+    def test_keeps_the_last_two_grids(self, fresh_grids):
+        # a constants call asks for m and 2m, pattern after pattern
+        spec = KernelSpec.product()
+        W4, W8 = discretize(spec, 4), discretize(spec, 8)
+        assert discretize(spec, 4) is W4 and discretize(spec, 8) is W8
+        discretize(spec, 16)  # drops m = 4, the grid asked for least recently
+        assert discretize(spec, 8) is W8
+        again = discretize(spec, 4)
+        assert again is not W4 and again.values.tobytes() == W4.values.tobytes()
+        assert discretize.cache_info().misses == 4
+
+    def test_specs_from_arrays_and_from_lists_share_one_graphon(self):
+        # a k = 256 grid is hashed once per spec, and equal specs, whatever
+        # they were built from or if pickled, find the same graphon
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.05, 0.95, size=(256, 256))
+        weights = rng.random(256) + 0.25
+        arrays = KernelSpec.custom(weights / weights.sum(), (values + values.T) / 2.0)
+        lists = KernelSpec.custom((weights / weights.sum()).tolist(),
+                                  ((values + values.T) / 2.0).tolist())
+        W = discretize(arrays, 64)
+        assert discretize(lists, 64) is W
+        assert discretize(pickle.loads(pickle.dumps(arrays)), 64) is W
+
+    def test_kinds_with_the_same_values_keep_their_own_grids(self):
+        constant, two_block = KernelSpec.constant(0.3), KernelSpec.two_block_diagonal(0.3)
+        assert constant.params == two_block.params
+        assert not np.array_equal(discretize(constant, 2).values, discretize(two_block, 2).values)
+
+    @pytest.mark.parametrize("m", [4.0, True], ids=["float", "bool"])
+    def test_a_cached_grid_does_not_answer_an_m_that_is_not_an_int(self, m):
+        # 4.0 == 4 and True == 1, yet neither is a number of cells
+        for kernel in (KernelSpec.product(), KernelSpec.constant(0.3)):
+            discretize(kernel, int(m))
+            with pytest.raises(TypeError):
+                discretize(kernel, m)
 
 
 class TestKernelSpec:

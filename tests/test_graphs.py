@@ -402,7 +402,7 @@ class TestEliminationPlan:
             assert count_copies(H, G) * 24 == backtrack_injective_homomorphisms(H, G)
         assert graphs._plan.cache_info().misses == misses
 
-    def test_shared_plans_stay_as_built(self, monkeypatch):
+    def test_shared_plans_stay_as_built(self, monkeypatch, fresh_grids):
         # every contraction of one shape runs the one cached plan, so after
         # counts and densities each cached plan must still be the plan a
         # fresh build gives, and a warm cache must give the bits of a cold one

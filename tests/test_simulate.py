@@ -599,6 +599,66 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("degenerate input: pattern has no edges")
 
+    def test_constants_print_the_same_text_from_cold_and_warm_grids(self, capsys):
+        # the constants calls of the exact_constants benchmark: each on grids
+        # built afresh, then on grids kept from the call before and from itself
+        calls = [*((name, "256") for name in ("k2", "star2", "k3", "path3", "star3", "cycle4")),
+                 ("k4", "4")]
+
+        def printed(name: str, m: str) -> str:
+            assert main(["constants", "--pattern", name, "--kernel", "product", "--m", m]) == 0
+            return capsys.readouterr().out
+
+        cold = []
+        for name, m in calls:
+            graphon.discretize.cache_clear()
+            cold.append(printed(name, m))
+        warm = [[printed(name, m), printed(name, m)] for name, m in calls]
+        assert warm == [[text, text] for text in cold]
+
+    def test_a_warm_repeat_builds_no_grid_and_no_product(self, capsys):
+        argv = ["constants", "--pattern", "k3", "--kernel", "product", "--m", "64"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        misses = graphon.discretize.cache_info().misses
+        grids = [graphon.discretize(KernelSpec.product(), m) for m in (64, 128)]
+        kept = [dict(W._two_steps) for W in grids]
+        assert all(kept)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert graphon.discretize.cache_info().misses == misses
+        for W, products in zip(grids, kept):
+            assert W._two_steps.keys() == products.keys()
+            assert all(W._two_steps[key] is P for key, P in products.items())
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # a refused call, or a --tol given once, leaves the next call as a
+        # fresh parser would leave it
+        kernel = tmp_path / "near_regular.json"  # star2 defect 1.7e-4
+        kernel.write_text(json.dumps({"pi": [0.5, 0.5], "B": [[0.5, 0.5], [0.5, 0.501]]}))
+        argv = ["regularity", "--pattern", "star2", "--kernel", f"custom:{kernel}"]
+        refused = [["density", "--pattern", "k2", "--kernel", "product", "--m", "0"],
+                   ["constants", "--pattern", "k2"]]
+
+        def run(args) -> tuple:
+            try:
+                code = main(args)
+            except SystemExit as refusal:
+                code = refusal.code
+            return (code, *capsys.readouterr())
+
+        cli._build_parser.cache_clear()
+        fresh = [run(argv), *map(run, refused)]
+        assert [result[0] for result in fresh] == [0, 2, 2]
+        assert "regular = false" in fresh[0][1]
+        for args, expected in zip(refused, fresh[1:]):
+            assert run(args) == expected
+            assert run(argv) == fresh[0]
+        tolerant = run([*argv, "--tol", "1e-3"])
+        assert tolerant[0] == 0 and "regular = true" in tolerant[1]
+        assert run(argv) == fresh[0]
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_pattern_file_loading(self, tmp_path, capsys):
         pattern_path = tmp_path / "k2.json"
         pattern_path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
