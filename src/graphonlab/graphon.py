@@ -137,12 +137,6 @@ class KernelSpec:
             raise ValueError(f"{self.kind} kernel {', '.join(entry[0])}: {err}") from err
         if W is not None and not W.is_probability_kernel:
             raise ValueError(f"{self.kind} kernel values must lie in [0,1], got {self.params!r}")
-        # a custom grid holds k^2 numbers, so hash them once; floats hash
-        # alike in every process, so a pickled spec keeps a valid hash
-        object.__setattr__(self, "_hash", hash(self.params))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def constant(cls, p: float) -> "KernelSpec":
@@ -215,8 +209,11 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     which keep edge densities exact.
 
     The graphon is shared and immutable: the last two grids asked for (the m
-    and 2m of one `constants` call) are kept, so a repeated call returns the
-    same graphon, with the two-step products it has already built."""
+    and 2m of one `constants` or `regularity` call) are kept, so a repeated
+    call returns the same graphon, with the two-step products it has already
+    built. The bound covers one call: calls that alternate between more than
+    two grids evict and rebuild them. The kept grids and their products stay
+    in memory after the call returns; `discretize.cache_clear()` frees them."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     W = spec.step_graphon()

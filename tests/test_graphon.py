@@ -267,8 +267,8 @@ class TestDiscretize:
         assert discretize.cache_info().misses == 4
 
     def test_specs_from_arrays_and_from_lists_share_one_graphon(self):
-        # a k = 256 grid is hashed once per spec, and equal specs, whatever
-        # they were built from or if pickled, find the same graphon
+        # equal specs, whatever they were built from or if pickled, find the
+        # same graphon
         rng = np.random.default_rng(5)
         values = rng.uniform(0.05, 0.95, size=(256, 256))
         weights = rng.random(256) + 0.25
