@@ -319,18 +319,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=_cells, default=DEFAULT_DISCRETIZATION,
                        help="cells used to discretize analytic kernels")
 
+    tol_help = "largest regularity defect, relative to t, still called regular"
     p = sub.add_parser("density", help="print t(pattern, kernel)")
     add_kernel_opts(p)
     p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("regularity", help="print the regularity defect and verdict")
+    p = sub.add_parser("regularity",
+                       help="print the regularity defect, relative to t, and the verdict")
     add_kernel_opts(p)
-    p.add_argument("--tol", type=float, default=REGULARITY_TOL)
+    p.add_argument("--tol", type=float, default=REGULARITY_TOL, help=tol_help)
     p.set_defaults(func=_cmd_regularity)
 
     p = sub.add_parser("constants", help="print tau2, sigma2, d_wh and the reduced spectrum")
     add_kernel_opts(p)
-    p.add_argument("--tol", type=float, default=REGULARITY_TOL)
+    p.add_argument("--tol", type=float, default=REGULARITY_TOL, help=tol_help)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("spectrum", help="print the spectrum JSON of the kernel (or of the"

@@ -19,6 +19,12 @@ two-point conditional density of H minus that edge, a at x and b at y.
 S is the first Hoeffding projection of the count: W is H-regular exactly
 when it is constant, and first_order derives t(H,W), the regularity
 defect, tau2 and the degree d_wh of the two-point kernel from (t, S).
+
+Every tolerance is relative, so the branch and the spectrum do not depend
+on how sparse W is: replacing W by rho W multiplies t, S, the two-point
+kernel and its eigenvalues by rho^e(H), and the defect is taken relative
+to t, eigenvalue truncation relative to the largest |eigenvalue| and the
+degree match relative to d_wh.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ from .spectral import spec_minus, spectrum
 GAUSSIAN = "gaussian"
 MIXTURE = "mixture"
 
-# A step computation is declared regular when the defect is at most this.
+# A step computation is declared regular when the defect, relative to t, is
+# at most this.
 REGULARITY_TOL = 1e-10
 
 # Normal draws per step of a chi-square term in sample_limit.
@@ -117,10 +124,11 @@ def first_order(H: LabeledGraph, W: StepGraphon) -> FirstOrder:
     """t(H, W), the regularity defect, tau2 and d_wh of one (H, W), all from
     t and the one-point sum S = sum_a t_a, summed in vertex order.
 
-    Zero defect, the sup-norm distance between S / v and t, switches the
-    law to the mixture branch. tau2 is the variance of S over |Aut H|^2:
-    exactly 0 when S is constant. d_wh = v (v-1) / (2 |Aut H|) t is the
-    degree of the two-point kernel when W is H-regular, advisory otherwise.
+    Zero defect, the sup-norm distance between S / v and t relative to t,
+    switches the law to the mixture branch. tau2 is the variance of S over
+    |Aut H|^2: exactly 0 when S is constant. d_wh = v (v-1) / (2 |Aut H|) t
+    is the degree of the two-point kernel when W is H-regular, advisory
+    otherwise.
     Raises ValueError for kernels with values outside [0,1], and
     DegenerateGraphonError for the all-ones kernel, edgeless patterns and
     H-free kernels.
@@ -135,7 +143,7 @@ def first_order(H: LabeledGraph, W: StepGraphon) -> FirstOrder:
         raise DegenerateGraphonError("pattern has zero density in the kernel; count is a.s. 0")
     v, aut = H.vertex_count, H.counting_plan.automorphisms
     S = sum(conditional_density(H, (a,), W) for a in range(1, v + 1))
-    defect = float(np.max(np.abs(S / v - t)))
+    defect = float(np.max(np.abs(S / v - t))) / t
     centered = S - float(W.block_weights @ S)
     tau2 = float(W.block_weights @ centered**2) / (aut * aut)
     return FirstOrder(t, defect, tau2, v * (v - 1) / (2 * aut) * t)

@@ -6,7 +6,10 @@ machine-readable reports. All randomness derives from one master seed via
 per-purpose Philox streams, so results are byte-identical across runs and
 worker counts. With k workers the replicates are split into k contiguous
 chunks: the calling process counts the first, k - 1 worker processes the
-rest.
+rest. The workers are forked on first use and kept for later calls with the
+same worker count, so they see this module's state as of their fork; a call
+with another count shuts them down first, and the kept ones are joined at
+interpreter exit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import csv
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -39,6 +44,11 @@ _REFERENCE_STREAM = 1
 
 # Elements of the larger sample per step of ks_distance.
 _KS_CHUNK = 4096
+
+# The worker pool kept between run_experiment calls, with its size, and the
+# lock that lets one caller at a time size and use it.
+_kept: tuple[int, ProcessPoolExecutor] | None = None
+_kept_lock = threading.Lock()
 
 
 def ks_distance(a, b) -> float:
@@ -269,6 +279,36 @@ def _worker_count(replicates: int) -> int:
     return min(workers, replicates, cpus or 1)
 
 
+def _pool(size: int) -> ProcessPoolExecutor:
+    """The kept pool of `size` workers, forked at its first task; a kept
+    pool of another size is shut down first."""
+    global _kept
+    if _kept is not None and _kept[0] != size:
+        _drop_pool()
+    if _kept is None:
+        _kept = (size, ProcessPoolExecutor(size, initializer=_keep_freed_heap))
+    return _kept[1]
+
+
+def _keep_freed_heap() -> None:
+    """Worker initializer: allocate and free one 4 MiB block. glibc's malloc
+    raises its mmap threshold to the largest block it has unmapped and trims
+    the heap only past twice that, so the worker then reuses the heap pages
+    of each replicate's temporaries. A worker forked before its caller freed
+    any large block would otherwise give them back and fault them in again
+    on every replicate, for as long as it is kept."""
+    np.empty(1 << 19)
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down and join its workers, if there is one; the
+    next call that needs a pool forks a fresh one."""
+    global _kept
+    if _kept is not None:
+        pool, _kept = _kept[1], None
+        pool.shutdown()
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the replicates, draw the reference sample, and score the run.
 
@@ -288,10 +328,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         counts = list(map(count, seeds))
     else:  # one contiguous chunk of seeds per worker, counts in seed order
         chunk = math.ceil(len(seeds) / workers)
-        rest = seeds[chunk:]  # chunks 2, 3, ... go to the pool; this process counts the first
-        with ProcessPoolExecutor(math.ceil(len(rest) / chunk)) as pool:
-            pooled = pool.map(count, rest, chunksize=chunk)
-            counts = [*map(count, seeds[:chunk]), *pooled]
+        with _kept_lock:
+            # chunks 2, 3, ... go to the pool; this process counts the first
+            pool = _pool(workers - 1)
+            try:
+                pooled = pool.map(count, seeds[chunk:], chunksize=chunk)
+                counts = [*map(count, seeds[:chunk]), *pooled]
+            except BrokenProcessPool:  # a worker died; the next call forks afresh
+                _drop_pool()
+                raise
     records = tuple(_record(H, n, s, c, mu, law) for s, c in zip(seeds, counts))
 
     normalized = np.array([r.normalized for r in records])

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graphonlab import KernelSpec, LabeledGraph, StepGraphon, cli, discretize
+from graphonlab import KernelSpec, LabeledGraph, StepGraphon, cli, discretize, simulate
 
 _K4 = LabeledGraph.complete(4)
 
@@ -82,6 +82,16 @@ def fresh_grids() -> None:
     """`discretize` starts from an empty cache, so a grid the test asks for
     is built afresh, with no two-step product that an earlier test kept."""
     discretize.cache_clear()
+
+
+@pytest.fixture
+def fresh_pool():
+    """`run_experiment` keeps no worker pool when the test starts or after
+    it ends: a pool the test needs is forked with the test's patches of
+    `simulate` in place, and no later test inherits its workers."""
+    simulate._drop_pool()
+    yield
+    simulate._drop_pool()
 
 
 @pytest.fixture

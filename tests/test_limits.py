@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import closed_form, degree, empty_graph
+from conftest import ZOO, closed_form, degree, empty_graph
 from limit_oracles import (
     einsum_density,
     sigma_squared_by_joins,
@@ -304,6 +304,45 @@ class TestSharedProjection:
                 before = first_order(H, W).defect
                 limit_law(H, W)
                 assert first_order(H, W).defect == before
+
+
+# Scales rho of rho W, and the kernels they scale: random step kernels
+# (Gaussian for every pattern), two kernels regular for every pattern, and
+# a two-block kernel that is clearly not K4-regular.
+SCALES = (1e-3, 1e-2, 0.1, 0.5, 1.0)
+SPARSE = StepGraphon(np.array([0.5, 0.5]), np.array([[0.02, 0.01], [0.01, 0.03]]))
+
+
+class TestScaleFreeTolerances:
+    """rho W multiplies t, S, the two-point kernel and its eigenvalues by
+    rho^e, so the branch, lambda / rho^e and tau2 / rho^(2e) must not depend
+    on rho."""
+
+    @pytest.mark.parametrize("name", ["k2", "star2", "k3", *ZOO])
+    def test_the_law_does_not_depend_on_the_kernel_scale(self, name, graphon_suite):
+        H = {"k2": K2, "star2": STAR2, "k3": K3, **ZOO}[name]
+        e = len(H.edges)
+        kernels = [*graphon_suite[:4], SPARSE, as_step_graphon(KernelSpec.constant(0.5)),
+                   as_step_graphon(KernelSpec.two_block_diagonal(0.5))]
+        for W in kernels:
+            unscaled = limit_law(H, W)
+            for rho in SCALES:
+                law = limit_law(H, StepGraphon(W.block_weights, rho * W.values))
+                assert law.kind == unscaled.kind
+                if law.kind == "gaussian":
+                    assert law.tau2 / rho ** (2 * e) == pytest.approx(unscaled.tau2, rel=1e-9)
+                else:
+                    scaled = [lam / rho**e for lam in law.lambdas]
+                    assert scaled == pytest.approx(list(unscaled.lambdas), rel=1e-9)
+        assert {limit_law(H, W).kind for W in kernels} == {"gaussian", "mixture"}
+
+    def test_a_sparse_kernel_is_not_k4_regular(self):
+        # an absolute defect of 4.4e-11 would have passed 1e-10; relative to t it is 0.725
+        K4 = LabeledGraph.complete(4)
+        for rho in (1.0, 10.0):
+            W = StepGraphon(SPARSE.block_weights, rho * SPARSE.values)
+            assert first_order(K4, W).defect == pytest.approx(37 / 51, rel=1e-12)
+            assert limit_law(K4, W).kind == "gaussian"
 
 
 class TestSampleLimit:

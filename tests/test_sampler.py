@@ -56,8 +56,9 @@ class TestSampleGraph:
         n, reps = 500, 100
         target = hom_density(LabeledGraph.complete(2), W)
         pairs = n * (n - 1) / 2
+        # sample_graph's edges are sample_adjacency's (test_matches_edge_list_sampler)
         densities = np.array(
-            [sample_graph(W, n, seed).edge_count / pairs for seed in range(reps)]
+            [sample_adjacency(W, n, seed).sum() / 2 / pairs for seed in range(reps)]
         )
         se = float(np.std(densities, ddof=1)) / math.sqrt(reps)
         assert abs(float(np.mean(densities)) - target) <= 4 * se

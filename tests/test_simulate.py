@@ -3,6 +3,13 @@
 import json
 import math
 import os
+import platform
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -263,23 +270,41 @@ class TestRunExperiment:
         assert [r.raw_count for r in pooled.records] == [r.raw_count for r in serial.records]
         assert pooled.to_canonical_json() == serial.to_canonical_json()
 
-    def test_the_pool_forks_one_process_fewer_than_the_workers(self, monkeypatch):
-        # the calling process counts the first chunk itself
+    def test_the_pool_forks_one_process_fewer_than_the_workers(self, fresh_pool, monkeypatch):
+        # the calling process counts the first chunk itself; a pool is built
+        # once per size and kept for later calls of that size
         built = []
 
         class Pool(simulate.ProcessPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **options):
                 built.append(max_workers)
-                super().__init__(max_workers)
+                super().__init__(max_workers, **options)
 
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", Pool)
         cpus(monkeypatch, 3)
-        for threads in ("1", "2", "3"):
+        for threads in ("1", "2", "2", "3", "3", "1"):
             monkeypatch.setenv("GRAPHONLAB_THREADS", threads)
             run_experiment(small_config(replicates=7, n=25))
         assert built == [1, 2]
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "2")
+        run_experiment(small_config(replicates=7, n=25))
+        assert built == [1, 2, 1]
 
-    def test_the_caller_counts_the_first_chunk(self, monkeypatch):
+    def test_a_pool_of_another_size_is_shut_down_first(self, fresh_pool, monkeypatch):
+        cpus(monkeypatch, 3)
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "2")
+        run_experiment(small_config(replicates=7, n=25))
+        old = simulate._kept[1]
+        pid = old.submit(os.getpid).result()
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "3")
+        run_experiment(small_config(replicates=7, n=25))
+        assert simulate._kept[0] == 2 and simulate._kept[1] is not old
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            old.submit(os.getpid)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # joined: no longer a child of this process
+
+    def test_the_caller_counts_the_first_chunk(self, fresh_pool, monkeypatch):
         # samples drawn in the pool's processes are not seen here
         seen, original = [], simulate.sample_adjacency
         monkeypatch.setattr(simulate, "sample_adjacency",
@@ -292,7 +317,8 @@ class TestRunExperiment:
             assert seen == [replicate_seed(71, i) for i in range(chunk)]
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
-    def test_an_exception_while_counting_propagates(self, where, monkeypatch):
+    def test_an_exception_while_counting_propagates(self, where, fresh_pool, monkeypatch):
+        # fresh_pool: the worker is forked after the patch, so it counts with it
         caller, original = os.getpid(), simulate.count_copies
 
         def count(H, A):
@@ -305,6 +331,65 @@ class TestRunExperiment:
         cpus(monkeypatch, 2)
         with pytest.raises(ArithmeticError, match=f"count failed in the {where}"):
             run_experiment(small_config(replicates=7, n=25))
+
+    def test_a_killed_worker_fails_its_call_and_the_next_call_forks_afresh(
+            self, fresh_pool, tmp_path, monkeypatch):
+        cfg = small_config(replicates=7, n=25)
+        monkeypatch.delenv("GRAPHONLAB_THREADS", raising=False)
+        _, serial = run_experiment(cfg).write(tmp_path / "serial")
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "2")
+        cpus(monkeypatch, 2)
+        run_experiment(cfg)  # forks the kept worker
+        os.kill(simulate._kept[1].submit(os.getpid).result(), signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(cfg)
+        assert simulate._kept is None
+        _, pooled = run_experiment(cfg).write(tmp_path / "pooled")
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/stat").exists(),
+                        reason="counts a glibc worker's page faults in /proc")
+    def test_a_kept_worker_reuses_its_heap_pages(self):
+        # a fresh process that has freed no large block forks the pool; its
+        # worker then faults in pages for each replicate's temporaries anew
+        # (about 3,400 faults for these 30 replicates) unless it keeps them
+        script = textwrap.dedent("""
+            import os
+            os.environ["GRAPHONLAB_THREADS"] = "2"
+            os.sched_getaffinity = lambda pid: {0, 1}
+            from graphonlab import ExperimentConfig, KernelSpec, LabeledGraph, simulate
+            config = ExperimentConfig(
+                pattern=LabeledGraph.complete(3), kernel=KernelSpec.two_block_diagonal(0.5),
+                n=150, replicates=60, master_seed=1, reference_draws=1000)
+            simulate.run_experiment(config)
+            pid = simulate._kept[1].submit(os.getpid).result()
+
+            def faults():
+                with open(f"/proc/{pid}/stat") as stat:
+                    return int(stat.read().rsplit(")", 1)[1].split()[7])
+
+            before = faults()
+            simulate.run_experiment(config)
+            print(faults() - before)
+        """)
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 300
+
+    def test_threads_sharing_the_kept_pool_get_serial_counts(self, fresh_pool, monkeypatch):
+        # 2 and 7 replicates need pools of 1 and 2 workers, so concurrent
+        # calls resize the one kept pool
+        configs = [small_config(replicates=r, n=25) for r in (2, 7)]
+        serial = [run_experiment(cfg).to_canonical_json() for cfg in configs]
+        monkeypatch.setenv("GRAPHONLAB_THREADS", "3")
+        cpus(monkeypatch, 3)
+        with ThreadPoolExecutor(2) as threads:
+            runs = [threads.submit(run_experiment, configs[i % 2]) for i in range(8)]
+            got = [run.result(timeout=120).to_canonical_json() for run in runs]
+        assert got == serial * 4
 
     def test_replicates_csv_is_byte_identical_for_1_2_and_3_workers(self, tmp_path, monkeypatch):
         cpus(monkeypatch, 3)
@@ -456,6 +541,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip()
+
+    @pytest.mark.parametrize("pattern,kernel,kept", [
+        ("k4", "constant:0.01", 0), ("k4", "two_block:0.02", 1), ("k5", "two_block:0.1", 1),
+    ])
+    def test_constants_on_sparse_regular_kernels_exit_0(self, pattern, kernel, kept, capsys):
+        # t is 1e-12 to 8e-12 here: every eigenvalue lies below an absolute 1e-10
+        assert main(["constants", "--pattern", pattern, "--kernel", kernel]) == 0
+        out = capsys.readouterr().out
+        assert "regular = true" in out
+        H = cli._load_pattern(pattern)
+        law = limit_law(H, as_step_graphon(cli._load_kernel(kernel)))
+        assert len(law.lambdas) == kept
+        assert f"spec_minus = {list(law.lambdas)!r}" in out
 
     def test_constants_product_reports_refinement(self, capsys):
         code = main(
