@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .graphon import StepGraphon
@@ -17,7 +19,7 @@ def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
     n(n-1)/2 edge uniforms in row-major (i < j) order, so identical
     (W, n, seed) yields an identical graph. The strict comparison makes the
     all-ones kernel produce the complete graph and the zero kernel the empty
-    graph deterministically.
+    graph deterministically. Each call returns a fresh C-contiguous array.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -26,11 +28,20 @@ def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     latent = rng.random(n)
     blocks = np.asarray(W.block_index(latent))
-    upper = ~np.tri(n, dtype=bool)  # j > i; boolean indexing is row-major
-    A = np.zeros((n, n))
-    A[upper] = rng.random(n * (n - 1) // 2) < W.values.take(blocks, 0).take(blocks, 1)[upper]
-    A += A.T
-    return A
+    upper = _upper_triangle(n)
+    hit = np.zeros((n, n), dtype=bool)
+    hit[upper] = rng.random(n * (n - 1) // 2) < W.values.take(blocks, 0).take(blocks, 1)[upper]
+    return (hit | hit.T).astype(np.float64)  # the one pass in float64
+
+
+@lru_cache(maxsize=1)
+def _upper_triangle(n: int) -> np.ndarray:
+    """Read-only n x n mask of the pairs j > i, which boolean indexing
+    visits in row-major order; kept for the last n, the n of every
+    replicate of a run."""
+    upper = ~np.tri(n, dtype=bool)
+    upper.setflags(write=False)
+    return upper
 
 
 def sample_graph(W: StepGraphon, n: int, seed: int) -> LabeledGraph:

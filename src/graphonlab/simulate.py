@@ -9,7 +9,8 @@ chunks: the calling process counts the first, k - 1 worker processes the
 rest. The workers are forked on first use and kept for later calls with the
 same worker count, so they see this module's state as of their fork; a call
 with another count shuts them down first, and the kept ones are joined at
-interpreter exit.
+interpreter exit. A kept worker whose caller dies without getting there
+exits by itself within about a second.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, field, fields
@@ -31,7 +33,7 @@ import numpy as np
 from .density import mean_count
 from .graphon import DEFAULT_DISCRETIZATION, KernelSpec, StepGraphon, as_step_graphon
 from .graphon import _json_int, _json_real
-from .graphs import EXACT_COUNT_BOUND, LabeledGraph, count_copies
+from .graphs import EXACT_COUNT_BOUND, LabeledGraph, _copies
 from .limits import REGULARITY_TOL, LimitLaw, limit_law, sample_limit
 from .sampler import sample_adjacency
 
@@ -260,8 +262,10 @@ def replicate_seed(master_seed: int, index: int) -> int:
 
 
 def _count(H: LabeledGraph, W: StepGraphon, n: int, seed: int) -> int:
-    """The copies of H in the W-random graph on n vertices drawn from seed."""
-    return count_copies(H, sample_adjacency(W, n, seed))
+    """The copies of H in the W-random graph on n vertices drawn from seed,
+    counted without re-checking the host: sample_adjacency builds it valid,
+    and ExperimentConfig bounds n."""
+    return _copies(H, sample_adjacency(W, n, seed))
 
 
 def _worker_count(replicates: int) -> int:
@@ -286,18 +290,32 @@ def _pool(size: int) -> ProcessPoolExecutor:
     if _kept is not None and _kept[0] != size:
         _drop_pool()
     if _kept is None:
-        _kept = (size, ProcessPoolExecutor(size, initializer=_keep_freed_heap))
+        _kept = (size, ProcessPoolExecutor(size, initializer=_init_worker))
     return _kept[1]
 
 
-def _keep_freed_heap() -> None:
-    """Worker initializer: allocate and free one 4 MiB block. glibc's malloc
-    raises its mmap threshold to the largest block it has unmapped and trims
-    the heap only past twice that, so the worker then reuses the heap pages
-    of each replicate's temporaries. A worker forked before its caller freed
-    any large block would otherwise give them back and fault them in again
-    on every replicate, for as long as it is kept."""
+def _init_worker() -> None:
+    """Worker initializer: allocate and free one 4 MiB block, and start the
+    thread that ends this worker when its parent is gone.
+
+    glibc's malloc raises its mmap threshold to the largest block it has
+    unmapped and trims the heap only past twice that, so the worker then
+    reuses the heap pages of each replicate's temporaries. A worker forked
+    before its caller freed any large block would otherwise give them back
+    and fault them in again on every replicate, for as long as it is kept."""
     np.empty(1 << 19)
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),), daemon=True).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit this worker, skipping every exit handler, once its parent pid is
+    no longer `parent`: a caller killed by SIGKILL never shuts its pool
+    down, and its orphaned worker would otherwise wait for a task forever.
+    Polled once a second. Not PR_SET_PDEATHSIG, which fires when the thread
+    that forked the worker ends, and any thread may fork the kept pool."""
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
 
 
 def _drop_pool() -> None:

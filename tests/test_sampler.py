@@ -79,14 +79,19 @@ class TestSampleGraph:
             as_step_graphon(KernelSpec.constant(0.37)),
             discretize(KernelSpec.product(), 64),
             StepGraphon(np.array([0.3, 0.7]), np.array([[0.2, 0.6], [0.6, 0.4]])),
+            # exact 0 and 1 values: no uniform falls below 0, every one below 1
+            StepGraphon(np.array([0.2, 0.5, 0.3]),
+                        np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.25], [0.5, 0.25, 1.0]])),
         ],
     )
     def test_matches_edge_list_sampler(self, W):
-        for n, seed in ((1, 0), (2, 5), (17, 1), (150, 20240817), (151, 3)):
+        for n, seed in ((1, 0), (2, 5), (3, 8), (5, 2), (17, 1), (150, 20240817), (151, 3)):
             expected = edge_list_sample_graph(W, n, seed)
             assert sample_graph(W, n, seed) == expected
             A = sample_adjacency(W, n, seed)
-            assert A.dtype == np.float64
+            # a fresh array of its own, which a caller may write to
+            assert A.dtype == np.float64 and A.flags.c_contiguous and A.flags.writeable
+            assert A.flags.owndata and not np.shares_memory(A, sample_adjacency(W, n, seed))
             assert np.array_equal(A, A.T)
             rows, cols = np.nonzero(np.triu(A))
             assert set(zip((rows + 1).tolist(), (cols + 1).tolist())) == set(expected.edges)

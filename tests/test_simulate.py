@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
@@ -23,6 +24,7 @@ from graphonlab import (
     LabeledGraph,
     LimitLaw,
     as_step_graphon,
+    count_copies,
     ks_distance,
     limit_law,
     run_experiment,
@@ -30,8 +32,9 @@ from graphonlab import (
     spectrum,
     two_point_graphon,
 )
-from graphonlab import cli, graphon, simulate
+from graphonlab import cli, graphon, graphs, simulate
 from graphonlab.cli import main
+from graphonlab.sampler import sample_adjacency
 from graphonlab.simulate import _sample_variance, replicate_seed
 
 STAR2 = LabeledGraph.star(2)
@@ -55,6 +58,20 @@ def merged_support_ks(a, b) -> float:
 def cpus(monkeypatch, count: int) -> None:
     """Let this process see `count` CPUs."""
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def running(pid: int) -> bool:
+    """Whether process `pid` exists and, where /proc tells, is no zombie
+    (an orphan's exit is reaped by whatever adopted it, maybe never)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:  # gone since, unless there is no /proc to ask
+        return not Path("/proc/self/stat").exists()
 
 
 def small_config(**overrides):
@@ -319,14 +336,14 @@ class TestRunExperiment:
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_an_exception_while_counting_propagates(self, where, fresh_pool, monkeypatch):
         # fresh_pool: the worker is forked after the patch, so it counts with it
-        caller, original = os.getpid(), simulate.count_copies
+        caller, original = os.getpid(), simulate._copies
 
         def count(H, A):
             if (os.getpid() == caller) == (where == "caller"):
                 raise ArithmeticError(f"count failed in the {where}")
             return original(H, A)
 
-        monkeypatch.setattr(simulate, "count_copies", count)
+        monkeypatch.setattr(simulate, "_copies", count)
         monkeypatch.setenv("GRAPHONLAB_THREADS", "2")
         cpus(monkeypatch, 2)
         with pytest.raises(ArithmeticError, match=f"count failed in the {where}"):
@@ -346,6 +363,28 @@ class TestRunExperiment:
         assert simulate._kept is None
         _, pooled = run_experiment(cfg).write(tmp_path / "pooled")
         assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_a_kept_worker_exits_when_its_caller_is_killed(self, tmp_path):
+        # SIGKILL skips the exit handlers that would shut the pool down
+        pid_file = tmp_path / "worker.pid"
+        script = textwrap.dedent(f"""
+            import os, signal
+            from pathlib import Path
+            from graphonlab import simulate
+            Path({str(pid_file)!r}).write_text(str(simulate._pool(1).submit(os.getpid).result()))
+            os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        caller = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+        assert caller.returncode == -signal.SIGKILL
+        worker = int(pid_file.read_text())
+        deadline = time.monotonic() + 10
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        if running(worker):
+            os.kill(worker, signal.SIGKILL)
+            pytest.fail(f"the orphaned worker {worker} still ran 10 s after its caller was killed")
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/stat").exists(),
                         reason="counts a glibc worker's page faults in /proc")
@@ -413,13 +452,30 @@ class TestRunExperiment:
         with pytest.raises(DegenerateGraphonError):
             run_experiment(small_config(kernel=KernelSpec.constant(1.0), pattern=K3))
 
+    def test_the_harness_counts_its_samples_without_the_host_check(self, monkeypatch):
+        # count_copies checks every host it is given; the harness counts only
+        # the arrays it sampled itself, through graphs._copies
+        checked, check = [], graphs._adjacency
+        monkeypatch.setattr(graphs, "_adjacency", lambda G: checked.append(G) or check(G))
+        monkeypatch.delenv("GRAPHONLAB_THREADS", raising=False)
+        STAR2.counting_plan  # built once per pattern, on the pattern's own adjacency
+        checked.clear()
+        result = run_experiment(small_config(replicates=7, n=25))
+        assert checked == []
+        W = as_step_graphon(small_config().kernel)
+        A = sample_adjacency(W, 25, result.records[0].seed)
+        assert count_copies(STAR2, A) == result.records[0].raw_count and len(checked) == 1
+        for bad in (0.5 * A, A + np.eye(25), np.triu(A)):
+            with pytest.raises(ValueError, match="adjacency matrix"):
+                count_copies(STAR2, bad)
+
     def test_count_above_complete_graph_bound_raises(self, monkeypatch):
         # K_40 holds (40)_3 / |Aut star2| = 40 * C(39, 2) two-stars
         bound = math.perm(40, 3) // 2
         monkeypatch.delenv("GRAPHONLAB_THREADS", raising=False)
-        monkeypatch.setattr(simulate, "count_copies", lambda H, A: bound)
+        monkeypatch.setattr(simulate, "_copies", lambda H, A: bound)
         assert {r.raw_count for r in run_experiment(small_config(replicates=4)).records} == {bound}
-        monkeypatch.setattr(simulate, "count_copies", lambda H, A: bound + 1)
+        monkeypatch.setattr(simulate, "_copies", lambda H, A: bound + 1)
         with pytest.raises(RuntimeError, match="complete-graph bound"):
             run_experiment(small_config(replicates=4))
 
