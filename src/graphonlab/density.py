@@ -6,9 +6,11 @@ count's sum over labellings, with blocks in place of host vertices. It is
 evaluated by the elimination that counts copies, planned by graphs._plan
 and run by graphs._run, with the block weights as unary factors and the
 kernel on every edge; a conditional density keeps its marks as axes.
-Densities on one graphon share its two-step product B diag(pi) B, built
-once per orientation of its factors; sharing is exact because B is exactly
-symmetric and each orientation is built as a contraction would build it.
+Densities on one graphon share the products it keeps: each merge over the
+block weights between two kept factors (its values, a kept product, or
+the transpose of either), such as B diag(pi) B and B diag(pi) B diag(pi) B,
+is built once per key. Sharing is exact because each product is built on
+the operands, in the layout, that the contraction would use.
 """
 
 from __future__ import annotations

@@ -81,36 +81,66 @@ class StepGraphon:
     def block_count(self) -> int:
         return self.block_weights.size
 
-    @property
+    @cached_property
     def is_probability_kernel(self) -> bool:
-        """True when every value lies in [0,1] (a genuine graphon)."""
+        """True when every value lies in [0,1] (a genuine graphon); worked
+        out once, since the values are read-only."""
         return bool(np.all(self.values >= 0.0) and np.all(self.values <= 1.0))
+
+    @cached_property
+    def _inner_ends(self) -> np.ndarray:
+        """Read-only running sums of the block weights at which every block
+        but the last ends: block i holds the coordinates x with
+        _inner_ends[i - 1] <= x < _inner_ends[i]."""
+        ends = np.cumsum(self.block_weights)[:-1]
+        ends.setflags(write=False)
+        return ends
 
     def block_index(self, x) -> np.ndarray | int:
         """Block containing each coordinate; the last block is closed at 1."""
         arr = np.asarray(x, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
             raise ValueError("coordinates must be finite and lie in [0,1]")
-        inner = np.cumsum(self.block_weights)[:-1]
-        idx = np.searchsorted(inner, arr, side="right")
+        idx = np.searchsorted(self._inner_ends, arr, side="right")
         return idx if arr.ndim else int(idx)
 
     @cached_property
     def _two_steps(self) -> dict:
-        """Read-only products B diag(pi) B by orientation; see _two_step."""
+        """Read-only products (L * pi) @ R of kept factors L and R, keyed by
+        (_kept(L), _kept(R)); see _two_step."""
         return {}
 
-    def _two_step(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """(left * pi) @ right, with `left` and `right` each this graphon's
-        values or their transpose: built once per orientation and kept with
-        the graphon, read-only. B is exactly symmetric, so the orientations
-        multiply the same numbers, but BLAS may sum them in another order;
-        each is built as a contraction would build it, and orientations
-        whose products are equal share one array."""
-        key = (left is not self.values, right is not self.values)
+    def _kept(self, M: np.ndarray) -> tuple | None:
+        """(name, transposed) when M is this graphon's values (name None), a
+        product kept in _two_steps (name: the first key it is kept under),
+        or the full transpose of either; None for any other array. Names
+        say how an array was built, not where it lives, so the keys hold in
+        a pickled copy of the graphon."""
+        K = M.base  # a transpose's base is the array it transposes
+        transposed = (isinstance(K, np.ndarray) and M.shape == K.shape[::-1]
+                      and M.strides == K.strides[::-1])
+        if not transposed:
+            K = M
+        if K is self.values:
+            return None, transposed
+        name = next((key for key, P in self._two_steps.items() if P is K), None)
+        return None if name is None else (name, transposed)
+
+    def _two_step(self, left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
+        """(left * pi) @ right when `left` and `right` are both kept factors
+        (see _kept): built once per key and kept with the graphon, read-only;
+        None when either factor is not kept. Each product is built as a
+        contraction would build it, on the same operands in the same layout,
+        so BLAS sums it in the same order; products that are equal bit for
+        bit share one array."""
+        key = self._kept(left), self._kept(right)
+        if None in key:
+            return None
         if key not in self._two_steps:
             P = (left * self.block_weights) @ right
-            P = next((Q for Q in self._two_steps.values() if np.array_equal(Q, P)), P)
+            bits = P.view(np.int64)  # so that 0.0 and -0.0 differ
+            built = self._two_steps.values()
+            P = next((Q for Q in built if np.array_equal(Q.view(np.int64), bits)), P)
             P.setflags(write=False)
             self._two_steps[key] = P
         return self._two_steps[key]
@@ -210,10 +240,12 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
 
     The graphon is shared and immutable: the last two grids asked for (the m
     and 2m of one `constants` or `regularity` call) are kept, so a repeated
-    call returns the same graphon, with the two-step products it has already
-    built. The bound covers one call: calls that alternate between more than
-    two grids evict and rebuild them. The kept grids and their products stay
-    in memory after the call returns; `discretize.cache_clear()` frees them."""
+    call returns the same graphon, with every product it has already kept
+    (B diag(pi) B, B diag(pi) B diag(pi) B and the like; see
+    StepGraphon._two_step). The bound covers one call: calls that alternate
+    between more than two grids evict and rebuild them. The kept grids and
+    their products stay in memory after the call returns;
+    `discretize.cache_clear()` frees them, once no caller holds the grid."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     W = spec.step_graphon()

@@ -259,8 +259,10 @@ def _run(plan: _Plan, unary: list, pair: list, size: int, W=None):
     mark order; with no marks the result is a float64 scalar.
 
     The checks that depend on the numbers are made here: a merge of a
-    vertex carrying W's block weights between two of W's own value
-    matrices takes W's cached product B diag(pi) B.
+    vertex carrying W's block weights between two factors W keeps (its
+    values, a product it keeps, or the transpose of either) takes W's kept
+    product, so B diag(pi) B, B diag(pi) B diag(pi) B and the like are
+    each built once per graphon.
     """
     pair = pair + [None] * (plan.edge_slots - len(pair))
     total = 1.0
@@ -279,9 +281,10 @@ def _run(plan: _Plan, unary: list, pair: list, size: int, W=None):
             left, right = pair[e_left], pair[e_right]
             pair[e_left] = pair[e_right] = None
             left, right = left.T if flip_left else left, right.T if flip_right else right
-            shared = W is not None and f is W.block_weights and all(
-                M is W.values or M.base is W.values for M in (left, right))
-            P = W._two_step(left, right) if shared else (left if f is None else left * f) @ right
+            P = W._two_step(left, right) if W is not None and f is W.block_weights else None
+            shared = P is not None
+            if not shared:
+                P = (left if f is None else left * f) @ right
             if flip:
                 P = P.T
             if merge:

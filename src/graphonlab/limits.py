@@ -161,9 +161,16 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     aut = H.counting_plan.automorphisms
     if not H.edges:
         raise ValueError("pattern has no edges")
-    S2 = np.zeros((W.block_count, W.block_count))
-    for e in H.edges:
-        S2 += conditional_density(LabeledGraph(H.vertex_count, set(H.edges) - {e}), e, W)
+
+    def t_minus(e):
+        return conditional_density(LabeledGraph(H.vertex_count, set(H.edges) - {e}), e, W)
+
+    # the first density, a fresh array as each is, starts the sum, with no
+    # k x k zeros to add it to: 0.0 + x is x up to the sign of a zero,
+    # which S2**2 drops
+    S2 = t_minus(H.edges[0])
+    for e in H.edges[1:]:
+        S2 += t_minus(e)
     # W (1 - W) S2^2 in place, rounded as W * (1 - W) * S2**2 rounds it
     weighted = 1.0 - W.values
     weighted *= W.values

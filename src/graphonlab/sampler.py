@@ -26,8 +26,8 @@ def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
     if not W.is_probability_kernel:
         raise ValueError("sampling requires a kernel with values in [0,1]")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    latent = rng.random(n)
-    blocks = np.asarray(W.block_index(latent))
+    # W.block_index, without range-checking the uniforms just drawn
+    blocks = np.searchsorted(W._inner_ends, rng.random(n), side="right")
     upper = _upper_triangle(n)
     hit = np.zeros((n, n), dtype=bool)
     hit[upper] = rng.random(n * (n - 1) // 2) < W.values.take(blocks, 0).take(blocks, 1)[upper]

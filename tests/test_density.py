@@ -367,8 +367,9 @@ class TestSharedTwoStepProduct:
         KernelSpec.product(), _random_custom(3), _random_custom(7), _random_custom(20),
     ], ids=["product-m64", "custom-k3", "custom-k7", "custom-k20"])
     def test_warm_graphon_gives_the_bits_of_a_fresh_one(self, spec, monkeypatch):
-        # the product B diag(pi) B that a graphon keeps for every pattern
-        # must give each pattern the bits it gets on a graphon of its own,
+        # the products a graphon keeps for every pattern (B diag(pi) B,
+        # B diag(pi) B diag(pi) B, ...) must give each pattern the bits it
+        # gets on a graphon of its own,
         # and those of the elimination that builds every product itself
         names = list(SHARED_PRODUCT_PATTERNS)
         for order in (names, names[::-1]):

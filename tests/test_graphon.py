@@ -1,12 +1,15 @@
 """Graphon module: step kernels, evaluation, degrees, discretization."""
 
+import gc
 import math
 import pickle
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import degree
+from conftest import EDGE_AND_TRIANGLE, ZOO, degree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from graphonlab import (
     sigma_squared,
     two_point_graphon,
 )
+from graphonlab.cli import main
 from graphonlab.sampler import sample_adjacency
 
 
@@ -52,16 +56,27 @@ class TestStepGraphon:
         assert not derived.is_probability_kernel
 
     def test_two_step_products_are_the_one_read_only_cache(self, fresh_grids):
-        # densities share B diag(pi) B, one array per orientation of its
-        # factors built as a contraction builds it; nothing else is kept
+        # densities share every product (L * pi) @ R of two kept factors: the
+        # values, a kept product, or the transpose of either, keyed by what
+        # each factor is and built as a contraction builds it; besides them
+        # the graphon keeps only its probability flag and its block ends
         W = discretize(KernelSpec.product(), 16)
         for H in (LabeledGraph.cycle(4), LabeledGraph.path(3), LabeledGraph.star(3)):
             first_order(H, W), sigma_squared(H, W), two_point_graphon(H, W)
-        assert set(vars(W)) == {"block_weights", "values", "_two_steps"}
-        assert W._two_steps
-        for (left_t, right_t), P in W._two_steps.items():
-            left, right = (W.values.T if t else W.values for t in (left_t, right_t))
-            assert np.array_equal(P, (left * W.block_weights) @ right)
+        W.block_index(0.5)
+        assert set(vars(W)) == {"block_weights", "values", "_two_steps",
+                                "is_probability_kernel", "_inner_ends"}
+        assert not W._inner_ends.flags.writeable
+
+        def factor(name, transposed: bool) -> np.ndarray:
+            K = W.values if name is None else W._two_steps[name]
+            return K.T if transposed else K
+
+        # cycle4's two-point densities multiply B pi B by B again
+        assert any(name is not None for key in W._two_steps for name, _ in key)
+        for (left, right), P in W._two_steps.items():
+            built = (factor(*left) * W.block_weights) @ factor(*right)
+            assert P.tobytes() == built.tobytes()
             assert not P.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 P *= 2.0
@@ -74,6 +89,96 @@ class TestStepGraphon:
     def test_rejects_non_finite_input(self, pi, B):
         with pytest.raises(ValueError, match="finite"):
             StepGraphon(np.array(pi), np.array(B))
+
+
+# Every pattern of the tests: the zoo, the small patterns and the edge with a
+# disjoint triangle.
+PATTERNS = {**ZOO, "k2": LabeledGraph.complete(2), "star2": LabeledGraph.star(2),
+            "k3": LabeledGraph.complete(3),
+            "edge_and_triangle": LabeledGraph(6, EDGE_AND_TRIANGLE)}
+
+
+def constants(H: LabeledGraph, W: StepGraphon) -> tuple:
+    """first_order, sigma_squared, two_point_graphon and limit_law of (H, W),
+    to the bit: repr tells every float apart, 0.0 from -0.0 included."""
+    return (repr(tuple(first_order(H, W))), repr(sigma_squared(H, W)),
+            two_point_graphon(H, W).values.tobytes(), repr(limit_law(H, W)))
+
+
+class TestKeptProducts:
+    """The products a graphon keeps change no output bit, are each built
+    once, and go when their graphon goes."""
+
+    @pytest.mark.parametrize("grid", ["suite", "product:64"])
+    def test_kept_products_move_no_bit(self, grid, graphon_suite, fresh_grids, monkeypatch):
+        if grid == "suite":
+            graphons, patterns = graphon_suite, PATTERNS
+        else:  # K5 on 64 blocks would take about 9 s; it runs on the suite
+            graphons = [discretize(KernelSpec.product(), 64)]
+            patterns = {name: H for name, H in PATTERNS.items() if name != "k5"}
+        for W in graphons:
+            rebuilt = StepGraphon(W.block_weights, W.values)
+            # cold, then warm: later patterns and the second pass reuse products
+            cached = [[constants(H, W) for H in patterns.values()] for _ in range(2)]
+            with monkeypatch.context() as patched:
+                patched.setattr(StepGraphon, "_kept", lambda self, M: None)
+                uncached = [constants(H, rebuilt) for H in patterns.values()]
+            assert not rebuilt._two_steps
+            assert cached == [uncached, uncached]
+        # each graphon kept products, some of them products of kept products
+        assert all(W._two_steps for W in graphons)
+        assert all(any(name is not None for key in W._two_steps for name, _ in key)
+                   for W in graphons)
+
+    def test_a_cold_constants_call_builds_each_product_once(self, fresh_grids, monkeypatch,
+                                                            capsys):
+        # every merge over the block weights asks _two_step; one that builds
+        # (a new key, or factors that are not kept) is recorded by operands
+        two_step, builds, asked = StepGraphon._two_step, Counter(), []
+
+        def recorded(W, left, right):
+            kept = len(W._two_steps)
+            P = two_step(W, left, right)
+            operands = tuple((M.strides, M.tobytes()) for M in (left, right))
+            asked.append(operands)
+            if P is None or len(W._two_steps) > kept:
+                builds[W.block_count, operands] += 1
+            return P
+
+        monkeypatch.setattr(StepGraphon, "_two_step", recorded)
+        assert main(["constants", "--pattern", "cycle4", "--kernel", "product", "--m", "64"]) == 0
+        assert capsys.readouterr().out.count("regular = ") == 2
+        assert builds and len(asked) > sum(builds.values())
+        assert max(builds.values()) == 1
+
+    def test_a_pickled_graphon_finds_its_kept_products(self):
+        # keys name factors by how they were built, so they hold in a copy
+        # whose arrays live elsewhere, as in a pool worker
+        W = StepGraphon(np.full(16, 1 / 16), discretize(KernelSpec.product(), 16).values)
+        C4 = LabeledGraph.cycle(4)
+        expected = constants(C4, W)
+        copy = pickle.loads(pickle.dumps(W))
+        assert copy._two_steps.keys() == W._two_steps.keys()
+        assert copy._kept(copy.values) == (None, False)
+        assert copy._kept(copy.values.T) == (None, True)
+        for P in copy._two_steps.values():
+            assert copy._kept(P) is not None
+            name, transposed = copy._kept(P)
+            assert copy._two_steps[name] is P and not transposed
+            assert copy._kept(P.T) == (name, True)
+        assert constants(C4, copy) == expected
+        assert copy._two_steps.keys() == W._two_steps.keys()
+
+    def test_kept_products_go_with_their_grid(self, fresh_grids, capsys):
+        assert main(["constants", "--pattern", "cycle4", "--kernel", "product", "--m", "16"]) == 0
+        capsys.readouterr()
+        W = discretize(KernelSpec.product(), 16)
+        kept = [weakref.ref(P) for P in W._two_steps.values()]
+        assert kept
+        del W
+        discretize.cache_clear()
+        gc.collect()
+        assert all(ref() is None for ref in kept)
 
 
 class TestEvaluate:
