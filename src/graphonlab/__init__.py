@@ -6,13 +6,7 @@ Carlo verification harness.
 """
 
 from .density import conditional_density, hom_density, mean_count, two_point_graphon
-from .graphon import (
-    DEFAULT_DISCRETIZATION,
-    KernelSpec,
-    StepGraphon,
-    as_step_graphon,
-    discretize,
-)
+from .graphon import KernelSpec, StepGraphon, as_step_graphon, discretize
 from .graphs import LabeledGraph, count_copies
 from .limits import (
     REGULARITY_TOL,
@@ -24,28 +18,18 @@ from .limits import (
     sigma_squared,
 )
 from .sampler import sample_graph
-from .simulate import (
-    ExperimentConfig,
-    ExperimentResult,
-    SampleRecord,
-    ks_distance,
-    run_experiment,
-)
-from .spectral import Spectrum, spec_minus, spectrum
+from .simulate import ExperimentConfig, ks_distance, run_experiment
+from .spectral import spec_minus, spectrum
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_DISCRETIZATION",
     "DegenerateGraphonError",
     "ExperimentConfig",
-    "ExperimentResult",
     "KernelSpec",
     "LabeledGraph",
     "LimitLaw",
     "REGULARITY_TOL",
-    "SampleRecord",
-    "Spectrum",
     "StepGraphon",
     "as_step_graphon",
     "conditional_density",

@@ -96,13 +96,10 @@ class StepGraphon:
         ends.setflags(write=False)
         return ends
 
-    def block_index(self, x) -> np.ndarray | int:
-        """Block containing each coordinate; the last block is closed at 1."""
-        arr = np.asarray(x, dtype=float)
-        if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
-            raise ValueError("coordinates must be finite and lie in [0,1]")
-        idx = np.searchsorted(self._inner_ends, arr, side="right")
-        return idx if arr.ndim else int(idx)
+    def __reduce__(self):
+        """A pickled graphon is its two arrays: the copy validates them again,
+        so they are read-only there too, and it keeps no products."""
+        return type(self), (self.block_weights, self.values)
 
     @cached_property
     def _two_steps(self) -> dict:
@@ -111,20 +108,18 @@ class StepGraphon:
         return {}
 
     def _kept(self, M: np.ndarray) -> tuple | None:
-        """(name, transposed) when M is this graphon's values (name None), a
-        product kept in _two_steps (name: the first key it is kept under),
-        or the full transpose of either; None for any other array. Names
-        say how an array was built, not where it lives, so the keys hold in
-        a pickled copy of the graphon."""
+        """(id(K), transposed) when M is a kept array K, this graphon's values
+        or a product kept in _two_steps, or the full transpose of one; None
+        for any other array. The graphon holds every kept array, so an id
+        names one array for the graphon's life."""
         K = M.base  # a transpose's base is the array it transposes
         transposed = (isinstance(K, np.ndarray) and M.shape == K.shape[::-1]
                       and M.strides == K.strides[::-1])
         if not transposed:
             K = M
-        if K is self.values:
-            return None, transposed
-        name = next((key for key, P in self._two_steps.items() if P is K), None)
-        return None if name is None else (name, transposed)
+        if K is self.values or any(P is K for P in self._two_steps.values()):
+            return id(K), transposed
+        return None
 
     def _two_step(self, left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
         """(left * pi) @ right when `left` and `right` are both kept factors

@@ -26,7 +26,7 @@ def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
     if not W.is_probability_kernel:
         raise ValueError("sampling requires a kernel with values in [0,1]")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # W.block_index, without range-checking the uniforms just drawn
+    # each vertex's block, from the block ends; uniforms lie in [0,1) already
     blocks = np.searchsorted(W._inner_ends, rng.random(n), side="right")
     upper = _upper_triangle(n)
     hit = np.zeros((n, n), dtype=bool)

@@ -38,9 +38,10 @@ class Spectrum:
 
 
 def spectrum(kernel: StepGraphon) -> Spectrum:
-    """Nonzero spectrum of the integral operator of a symmetric step kernel;
-    eigenvalues at or below EIGENVALUE_TRUNCATION_TOL times the largest
-    magnitude are dropped, so scaling the kernel keeps the same ones."""
+    """Nonzero spectrum of the integral operator of a symmetric step kernel,
+    its arrays read-only; eigenvalues at or below EIGENVALUE_TRUNCATION_TOL
+    times the largest magnitude are dropped, so scaling the kernel keeps the
+    same ones."""
     pi = kernel.block_weights
     s = np.sqrt(pi)
     M = kernel.values * np.outer(s, s)
@@ -50,7 +51,10 @@ def spectrum(kernel: StepGraphon) -> Spectrum:
     eigvals = eigvals[keep]
     phi = phi[:, keep]
     order = np.argsort(-eigvals, kind="stable")
-    return Spectrum(eigvals[order], phi[:, order].T.copy(), pi)
+    eigvals, phi = eigvals[order], phi[:, order].T.copy()
+    eigvals.setflags(write=False)
+    phi.setflags(write=False)
+    return Spectrum(eigvals, phi, pi)
 
 
 def spec_minus(spec: Spectrum, degree_value: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Reference implementations that the package's counting and sampling are
 checked against: exhaustive enumeration of copies, a bitmask backtracker
-for injective homomorphisms and the edge-list W-random graph sampler. All
-work on a different representation and by a different method than the
-package, so agreement is evidence."""
+for injective homomorphisms, the block of a coordinate and the edge-list
+W-random graph sampler. All work on a different representation and by a
+different method than the package, so agreement is evidence."""
 
 from __future__ import annotations
 
@@ -119,6 +119,17 @@ def backtrack_injective_homomorphisms(H: LabeledGraph, G: LabeledGraph) -> int:
     return rec(0, 0)
 
 
+def block_index(W: StepGraphon, x) -> np.ndarray | int:
+    """Block of W holding each coordinate in [0,1]: blocks are left-closed,
+    end at the running sums of the weights, and the last is closed at 1.
+    Worked out from the weights, not from the block ends the sampler reads."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails both comparisons
+        raise ValueError("coordinates must be finite and lie in [0,1]")
+    idx = np.searchsorted(np.cumsum(W.block_weights)[:-1], arr, side="right")
+    return idx if arr.ndim else int(idx)
+
+
 def edge_list_sample_graph(W: StepGraphon, n: int, seed: int) -> LabeledGraph:
     """W-random graph built from the list of kept (i, j) pairs, on the same
     Philox stream: n latent uniforms, then n(n-1)/2 edge uniforms in
@@ -126,7 +137,7 @@ def edge_list_sample_graph(W: StepGraphon, n: int, seed: int) -> LabeledGraph:
     value."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     latent = rng.random(n)
-    blocks = np.asarray(W.block_index(latent))
+    blocks = np.asarray(block_index(W, latent))
     iu, ju = np.triu_indices(n, k=1)
     y = rng.random(iu.size)
     probs = W.values[blocks[iu], blocks[ju]]

@@ -6,10 +6,12 @@ import pickle
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from conftest import EDGE_AND_TRIANGLE, ZOO, degree
+from counting_oracles import block_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,11 +28,12 @@ from graphonlab import (
 )
 from graphonlab.cli import main
 from graphonlab.sampler import sample_adjacency
+from graphonlab.simulate import _count
 
 
 def evaluate(W: StepGraphon, x: float, y: float) -> float:
     """Pointwise value of W at (x, y)."""
-    return W.values[W.block_index(x), W.block_index(y)]
+    return W.values[block_index(W, x), block_index(W, y)]
 
 
 class TestStepGraphon:
@@ -57,23 +60,24 @@ class TestStepGraphon:
 
     def test_two_step_products_are_the_one_read_only_cache(self, fresh_grids):
         # densities share every product (L * pi) @ R of two kept factors: the
-        # values, a kept product, or the transpose of either, keyed by what
-        # each factor is and built as a contraction builds it; besides them
-        # the graphon keeps only its probability flag and its block ends
+        # values, a kept product, or the transpose of either, keyed by the id
+        # of the kept array and the orientation, and built as a contraction
+        # builds it; besides them the graphon keeps only its probability flag
+        # and its block ends
         W = discretize(KernelSpec.product(), 16)
         for H in (LabeledGraph.cycle(4), LabeledGraph.path(3), LabeledGraph.star(3)):
             first_order(H, W), sigma_squared(H, W), two_point_graphon(H, W)
-        W.block_index(0.5)
+        sample_adjacency(W, 4, 0)
         assert set(vars(W)) == {"block_weights", "values", "_two_steps",
                                 "is_probability_kernel", "_inner_ends"}
         assert not W._inner_ends.flags.writeable
+        kept = {id(K): K for K in (W.values, *W._two_steps.values())}
 
-        def factor(name, transposed: bool) -> np.ndarray:
-            K = W.values if name is None else W._two_steps[name]
-            return K.T if transposed else K
+        def factor(key: int, transposed: bool) -> np.ndarray:
+            return kept[key].T if transposed else kept[key]
 
         # cycle4's two-point densities multiply B pi B by B again
-        assert any(name is not None for key in W._two_steps for name, _ in key)
+        assert any(key != id(W.values) for pair in W._two_steps for key, _ in pair)
         for (left, right), P in W._two_steps.items():
             built = (factor(*left) * W.block_weights) @ factor(*right)
             assert P.tobytes() == built.tobytes()
@@ -125,10 +129,13 @@ class TestKeptProducts:
                 uncached = [constants(H, rebuilt) for H in patterns.values()]
             assert not rebuilt._two_steps
             assert cached == [uncached, uncached]
-        # each graphon kept products, some of them products of kept products
-        assert all(W._two_steps for W in graphons)
-        assert all(any(name is not None for key in W._two_steps for name, _ in key)
-                   for W in graphons)
+        # each graphon kept products, some of them products of kept products;
+        # every factor's key is the id of its values or of a kept product
+        for W in graphons:
+            products = {id(P) for P in W._two_steps.values()}
+            factors = {key for pair in W._two_steps for key, _ in pair}
+            assert products and factors <= products | {id(W.values)}
+            assert factors & products
 
     def test_a_cold_constants_call_builds_each_product_once(self, fresh_grids, monkeypatch,
                                                             capsys):
@@ -151,23 +158,23 @@ class TestKeptProducts:
         assert builds and len(asked) > sum(builds.values())
         assert max(builds.values()) == 1
 
-    def test_a_pickled_graphon_finds_its_kept_products(self):
-        # keys name factors by how they were built, so they hold in a copy
-        # whose arrays live elsewhere, as in a pool worker
-        W = StepGraphon(np.full(16, 1 / 16), discretize(KernelSpec.product(), 16).values)
+    def test_a_pickled_graphon_carries_only_its_two_arrays(self, fresh_grids):
+        # a pool task sends the graphon as its block weights and values: the
+        # copy checks them again, so they are read-only, and keeps no product
+        W = discretize(KernelSpec.product(), 256)
         C4 = LabeledGraph.cycle(4)
+        C4.counting_plan  # kept with the pattern, as limit_law leaves it in a run
+        task = partial(_count, C4, W, 150)
+        before = len(pickle.dumps(task))
         expected = constants(C4, W)
-        copy = pickle.loads(pickle.dumps(W))
-        assert copy._two_steps.keys() == W._two_steps.keys()
-        assert copy._kept(copy.values) == (None, False)
-        assert copy._kept(copy.values.T) == (None, True)
-        for P in copy._two_steps.values():
-            assert copy._kept(P) is not None
-            name, transposed = copy._kept(P)
-            assert copy._two_steps[name] is P and not transposed
-            assert copy._kept(P.T) == (name, True)
+        assert W._two_steps
+        assert len(pickle.dumps(task)) == before
+        copy = pickle.loads(pickle.dumps(task)).args[1]
+        for name in ("block_weights", "values"):
+            assert getattr(copy, name).tobytes() == getattr(W, name).tobytes()
+            assert not getattr(copy, name).flags.writeable
+        assert not copy._two_steps
         assert constants(C4, copy) == expected
-        assert copy._two_steps.keys() == W._two_steps.keys()
 
     def test_kept_products_go_with_their_grid(self, fresh_grids, capsys):
         assert main(["constants", "--pattern", "cycle4", "--kernel", "product", "--m", "16"]) == 0
@@ -214,9 +221,9 @@ class TestEvaluate:
     def test_non_finite_coordinate(self, bad):
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
         with pytest.raises(ValueError):
-            W.block_index(bad)
+            block_index(W, bad)
         with pytest.raises(ValueError):
-            W.block_index(np.array([0.25, bad, 0.75]))
+            block_index(W, np.array([0.25, bad, 0.75]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -252,7 +259,7 @@ class TestDegree:
 def block_of_each_cell(W: StepGraphon, m: int) -> list:
     """For each uniform cell [i/m, (i+1)/m], the block of W that holds it
     whole in exact arithmetic, or None when the cell meets two blocks; the
-    blocks end where W.block_index puts them, at the running sums of the
+    blocks end where the sampler puts them, at the running sums of the
     weights, the last at 1."""
     ends = [Fraction(0), *map(Fraction, np.cumsum(W.block_weights)[:-1]), Fraction(1)]
     return [next((a for a in range(W.block_count)
@@ -354,7 +361,7 @@ class TestDiscretize:
 
         def sup_error(m: int) -> float:
             W = discretize(KernelSpec.product(), m)
-            d = degree(W)[np.asarray(W.block_index(grid))]
+            d = degree(W)[np.asarray(block_index(W, grid))]
             return float(np.max(np.abs(d - grid / 2)))
 
         e32, e64 = sup_error(32), sup_error(64)

@@ -18,7 +18,6 @@ from graphonlab import (
     DegenerateGraphonError,
     KernelSpec,
     LabeledGraph,
-    Spectrum,
     StepGraphon,
     as_step_graphon,
     cli,
@@ -31,18 +30,15 @@ from graphonlab import (
     spec_minus,
     spectrum,
 )
+from graphonlab.spectral import Spectrum
 
 PUBLIC_NAMES = [
-    "DEFAULT_DISCRETIZATION",
     "DegenerateGraphonError",
     "ExperimentConfig",
-    "ExperimentResult",
     "KernelSpec",
     "LabeledGraph",
     "LimitLaw",
     "REGULARITY_TOL",
-    "SampleRecord",
-    "Spectrum",
     "StepGraphon",
     "as_step_graphon",
     "conditional_density",
@@ -87,7 +83,8 @@ def test_no_module_holds_join_machinery():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("has_edge", "empty", "sorted_edges"):
         assert not hasattr(LabeledGraph, name), f"LabeledGraph.{name}"
-    assert not hasattr(StepGraphon, "degree")
+    for name in ("degree", "block_index"):
+        assert not hasattr(StepGraphon, name), f"StepGraphon.{name}"
     assert not hasattr(DegenerateGraphonError("pattern has no edges"), "reason")
     for name in ("max_residual", "apply", "__len__"):
         assert not hasattr(Spectrum, name), f"Spectrum.{name}"

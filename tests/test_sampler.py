@@ -10,7 +10,6 @@ from graphonlab import (
     KernelSpec,
     LabeledGraph,
     LimitLaw,
-    SampleRecord,
     StepGraphon,
     as_step_graphon,
     count_copies,
@@ -20,7 +19,7 @@ from graphonlab import (
 )
 from graphonlab.graphon import discretize
 from graphonlab.sampler import sample_adjacency
-from graphonlab.simulate import _record
+from graphonlab.simulate import SampleRecord, _record
 
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)

@@ -15,6 +15,7 @@ from graphonlab import (
     spectrum,
     two_point_graphon,
 )
+from graphonlab.spectral import Spectrum
 
 STAR2 = LabeledGraph.star(2)
 
@@ -54,6 +55,12 @@ class TestSpectrum:
         W = StepGraphon(np.array([0.5, 0.5]), np.array([[0.0, 0.6], [0.6, 0.0]]))
         spec = spectrum(W)
         assert np.allclose(spec.eigenvalues, [0.3, -0.3], atol=1e-14)
+
+    def test_a_spectrum_is_read_only(self):
+        spec = spectrum(discretize(KernelSpec.product(), 8))
+        for name in ("eigenvalues", "eigenvectors", "block_weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0] *= 2.0
 
     def test_at_most_k_eigenvalues(self, graphon_suite):
         for W in graphon_suite:
@@ -120,8 +127,6 @@ class TestSpecMinus:
         assert spec_minus(spec, 0.4).size == 0
 
     def test_no_match_is_an_error(self):
-        from graphonlab import Spectrum
-
         spec = Spectrum(
             np.array([0.5, 0.1]), np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.5, 0.5])
         )
@@ -132,7 +137,5 @@ class TestSpecMinus:
         spec = spectrum(as_step_graphon(KernelSpec.constant(0.4)))
         emptied = spec_minus(spec, 0.4)
         assert emptied.size == 0
-        from graphonlab import Spectrum
-
         with pytest.raises(ValueError):
             spec_minus(Spectrum(emptied, np.zeros((0, 1)), np.array([1.0])), 0.4)
