@@ -47,9 +47,6 @@ MIXTURE = "mixture"
 # at most this.
 REGULARITY_TOL = 1e-10
 
-# Normal draws per step of a chi-square term in sample_limit.
-_DRAW_CHUNK = 4096
-
 
 class DegenerateGraphonError(ValueError):
     """The pair (H, W) pins the subgraph count almost surely: W is the
@@ -155,12 +152,13 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     of H - ab, a on rows. Expanding S2^2 gives the weak- minus strong-join
     densities of H glued to itself along ordered edge pairs (a ~ c, b ~ d).
     Raises ValueError, as first_order does, for kernels with values outside
-    [0,1]; on the others every summand is >= 0, so the sum is too.
+    [0,1], and DegenerateGraphonError for edgeless patterns; on the others
+    every summand is >= 0, so the sum is too.
     """
     _require_probability_kernel(W)
-    aut = H.counting_plan.automorphisms
     if not H.edges:
-        raise ValueError("pattern has no edges")
+        raise DegenerateGraphonError("pattern has no edges; count is a.s. C(n, v)")
+    aut = H.counting_plan.automorphisms
 
     def t_minus(e):
         return conditional_density(LabeledGraph(H.vertex_count, set(H.edges) - {e}), e, W)
@@ -205,11 +203,10 @@ def sample_limit(law: LimitLaw, seed: int, count: int) -> np.ndarray:
     draws = rng.standard_normal(count)
     draws *= np.sqrt(law.tau2 if law.kind == GAUSSIAN else law.sigma2)
     for lam in law.lambdas:
-        # lam * (z * z - 1.0) in place, one chunk of the stream at a time
-        for i in range(0, count, _DRAW_CHUNK):
-            z = rng.standard_normal(min(_DRAW_CHUNK, count - i))
-            z *= z
-            z -= 1.0
-            z *= lam
-            draws[i : i + z.size] += z
+        # lam * (z * z - 1.0) in place, so z is the only temporary
+        z = rng.standard_normal(count)
+        z *= z
+        z -= 1.0
+        z *= lam
+        draws += z
     return draws

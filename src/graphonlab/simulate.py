@@ -44,9 +44,6 @@ THREADS_ENV_VAR = "GRAPHONLAB_THREADS"
 _REPLICATE_STREAM = 0
 _REFERENCE_STREAM = 1
 
-# Elements of the larger sample per step of ks_distance.
-_KS_CHUNK = 4096
-
 # The worker pool kept between run_experiment calls, with its size, and the
 # lock that lets one caller at a time size and use it.
 _kept: tuple[int, ProcessPoolExecutor] | None = None
@@ -58,13 +55,12 @@ def ks_distance(a, b) -> float:
     merged support of two non-empty finite samples.
 
     Only the distinct values u_0 < ... < u_{K-1} of the smaller sample are
-    searched, into each sorted chunk of _KS_CHUNK elements of the larger
-    one: from the right for #b <= u_k and from the left for #b < u_k, added
-    up over the chunks. On [u_k, u_{k+1}) the empirical CDF of the smaller
-    sample is constant and that of the larger one rises from #{<= u_k} to
-    #{< u_{k+1}}, and |x - y| over a monotone run of floats peaks at an end
-    of the run. So the support points at those ends give the same maximum,
-    float for float, as evaluating every support point.
+    searched, into the sorted larger one: from the right for #b <= u_k and
+    from the left for #b < u_k. On [u_k, u_{k+1}) the empirical CDF of the
+    smaller sample is constant and that of the larger one rises from
+    #{<= u_k} to #{< u_{k+1}}, and |x - y| over a monotone run of floats
+    peaks at an end of the run. So the support points at those ends give
+    the same maximum, float for float, as evaluating every support point.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -73,11 +69,9 @@ def ks_distance(a, b) -> float:
     if a.size > b.size:
         a, b = b, a  # the statistic is symmetric
     u, multiplicity = np.unique(a, return_counts=True)
-    at_most = below = 0
-    for i in range(0, b.size, _KS_CHUNK):
-        chunk = np.sort(b[i : i + _KS_CHUNK])
-        at_most = at_most + np.searchsorted(chunk, u, side="right")  # #b <= u_k
-        below = below + np.searchsorted(chunk, u, side="left")  # #b < u_k
+    b = np.sort(b)
+    at_most = np.searchsorted(b, u, side="right")  # #b <= u_k
+    below = np.searchsorted(b, u, side="left")  # #b < u_k
     cdf_a = np.cumsum(multiplicity) / a.size
     below_next = np.append(below[1:], b.size)  # #b < u_{k+1}, with #b < infinity last
     return max(
@@ -85,14 +79,6 @@ def ks_distance(a, b) -> float:
         float(np.max(np.abs(cdf_a - below_next / b.size))),
         float(below[0] / b.size),  # larger-sample points below u_0, where F_a is 0
     )
-
-
-def _sample_variance(x: np.ndarray) -> float:
-    """np.var(x, ddof=1) by the same operations in the same order, computed
-    in place: x is overwritten."""
-    x -= np.add.reduce(x, keepdims=True) / x.size
-    x *= x
-    return float(np.add.reduce(x) / (x.size - 1))
 
 
 @dataclass(frozen=True)
@@ -369,7 +355,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ks = ks_distance(normalized, reference)
     ks_pass = ks < config.ks_threshold
     reference_mean = float(np.mean(reference))
-    reference_variance = _sample_variance(reference)  # last use of reference
+    reference_variance = float(np.var(reference, ddof=1))
 
     emp_var = float(np.var(normalized, ddof=1)) if normalized.size > 1 else 0.0
     law_var = law.variance

@@ -1,5 +1,6 @@
 """Limits module: the two variance constants, branch selection, sampling."""
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from graphonlab import (
     limit_law,
     sample_limit,
     sigma_squared,
+    spectrum,
     two_point_graphon,
 )
 
@@ -191,7 +193,7 @@ class TestLimitLaw:
         monkeypatch.setattr(limits, "hom_density", refuse)
         monkeypatch.setattr(limits, "conditional_density", refuse)
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
-        for compute in (first_order, limit_law):
+        for compute in (first_order, limit_law, sigma_squared):
             with pytest.raises(DegenerateGraphonError, match="pattern has no edges"):
                 compute(empty_graph(v), W)
 
@@ -345,6 +347,60 @@ class TestScaleFreeTolerances:
             assert limit_law(K4, W).kind == "gaussian"
 
 
+# Patterns with more than one labelled copy on their vertex set, each
+# numbered as the builtins and the pattern zoo number it.
+RELABELLED_PATTERNS = {
+    "star2": STAR2,
+    "path3": LabeledGraph.path(3),
+    "star3": LabeledGraph.star(3),
+    "paw": LabeledGraph.from_edges(4, [(1, 2), (1, 3), (2, 3), (3, 4)]),
+    "diamond": ZOO["diamond"],
+    "cycle4": LabeledGraph.cycle(4),
+}
+
+
+def relabellings(H: LabeledGraph) -> list[LabeledGraph]:
+    """H under every vertex relabelling, each distinct labelled graph once."""
+    copies = {
+        LabeledGraph.from_edges(H.vertex_count, [(p[a - 1], p[b - 1]) for a, b in H.edges])
+        for p in itertools.permutations(range(1, H.vertex_count + 1))
+    }
+    return sorted(copies, key=lambda G: G.edges)
+
+
+class TestRelabelling:
+    """The constants are functions of the unlabelled pair (H, W)."""
+
+    @pytest.mark.parametrize("name", list(RELABELLED_PATTERNS))
+    def test_first_order_and_two_point_spectrum(self, name, graphon_suite):
+        copies = relabellings(RELABELLED_PATTERNS[name])
+        assert len(copies) > 1
+        for W in graphon_suite:
+            base = first_order(copies[0], W)
+            eigenvalues = spectrum(two_point_graphon(copies[0], W)).eigenvalues
+            scale = float(np.max(np.abs(eigenvalues)))
+            for H in copies[1:]:
+                constants = first_order(H, W)
+                assert constants.t == pytest.approx(base.t, rel=1e-12, abs=0)
+                assert constants.tau2 == pytest.approx(base.tau2, rel=1e-12, abs=0)
+                assert constants.d_wh == pytest.approx(base.d_wh, rel=1e-12, abs=0)
+                assert constants.defect == pytest.approx(base.defect, rel=0, abs=1e-12)
+                relabelled = spectrum(two_point_graphon(H, W)).eigenvalues
+                assert relabelled.shape == eigenvalues.shape
+                assert float(np.max(np.abs(relabelled - eigenvalues))) <= 1e-12 * scale
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_sigma2(self, graphon_suite):
+        # sigma_squared sums S2 over sorted edges with a on the rows, so a
+        # relabelling that turns an edge around moves it (item 1)
+        for H in RELABELLED_PATTERNS.values():
+            copies = relabellings(H)
+            for W in graphon_suite:
+                base = sigma_squared(copies[0], W)
+                for G in copies[1:]:
+                    assert sigma_squared(G, W) == pytest.approx(base, rel=1e-12, abs=0)
+
+
 class TestSampleLimit:
     def test_deterministic_given_seed(self):
         law = LimitLaw.mixture(1 / 64, (3 / 32,), 3)
@@ -383,8 +439,8 @@ class TestSampleLimit:
         ],
     )
     def test_matches_whole_array_draws(self, law):
-        # the reference draws every term's normals in one call and scales
-        # out of place; the chunked, in-place sampler must agree bit for bit
+        # the reference computes every term out of place; the sampler
+        # works in place and must agree bit for bit
         for count in (1, 4095, 4097, 100_000):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5)))
             scale = law.tau2 if law.kind == "gaussian" else law.sigma2

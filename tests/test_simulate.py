@@ -35,7 +35,7 @@ from graphonlab import (
 from graphonlab import cli, graphon, graphs, simulate
 from graphonlab.cli import main
 from graphonlab.sampler import sample_adjacency
-from graphonlab.simulate import _sample_variance, replicate_seed
+from graphonlab.simulate import replicate_seed
 
 STAR2 = LabeledGraph.star(2)
 K3 = LabeledGraph.complete(3)
@@ -128,9 +128,9 @@ class TestKsDistance:
         for _ in range(30):
             size_a, size_b = rng.integers(1, 60, 2)
             cases.append((rng.integers(-4, 4, size_a) / 3.0, rng.integers(-4, 4, size_b) / 3.0))
-        # the larger sample fills chunks of _KS_CHUNK = 4096 exactly, with one
-        # to spare or one short; runs of a smaller-sample value straddle the
-        # chunk boundary, so its ties are counted in two chunks
+        # larger samples of 4096 elements, one to spare or one short, and
+        # twice that, each with a run of a smaller-sample value from element
+        # 4090 and another at its end, unsorted and sorted
         for size in (4095, 4096, 4097, 8192):
             small = rng.integers(0, 6, 40).astype(float) / 7.0
             large = rng.integers(0, 8, size).astype(float) / 7.0
@@ -148,14 +148,6 @@ class TestKsDistance:
         a = sample_limit(law, seed=100, count=10_000)
         b = sample_limit(law, seed=200, count=10_000)
         assert ks_distance(a, b) < 0.03
-
-
-def test_sample_variance_matches_numpy():
-    rng = np.random.default_rng(23)
-    for size in (2, 3, 127, 129, 4097, 100_000):
-        x = rng.standard_normal(size) * 3.0 + 1.5
-        expected = float(np.var(x, ddof=1))
-        assert _sample_variance(x.copy()) == expected
 
 
 class TestConfig:
