@@ -34,7 +34,7 @@ from .limits import (
     limit_law,
     sigma_squared,
 )
-from .sampler import sample_graph
+from .sampler import sample_adjacency
 from .simulate import ExperimentConfig, run_experiment
 from .spectral import spec_minus, spectrum
 
@@ -89,13 +89,11 @@ def _cmd_regularity(args) -> int:
     H = _load_pattern(args.pattern)
     spec = _load_kernel(args.kernel)
     defect = first_order(H, as_step_graphon(spec, args.m)).defect
-    print(f"m = {args.m}")
-    print(f"defect = {defect!r}")
-    print(f"regular = {str(defect <= args.tol).lower()}")
+    lines = [f"m = {args.m}", f"defect = {defect!r}", f"regular = {str(defect <= args.tol).lower()}"]
     if spec.step_graphon() is None:  # only analytic kernels are discretized
         refined = first_order(H, discretize(spec, 2 * args.m)).defect
-        print(f"refined_m = {2 * args.m}")
-        print(f"refined_defect = {refined!r}")
+        lines += [f"refined_m = {2 * args.m}", f"refined_defect = {refined!r}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -271,7 +269,7 @@ def _closed_forms() -> list[_ClosedForm]:
         row("regularity defect above 1e-4", "star2", "product, m=256",
             lambda H, W: first_order(H, W).defect > 1e-4, True),
         row("copies in a sample", "k3", "constant:1",
-            lambda H, W: count_copies(H, sample_graph(W, 6, seed=11)), math.comb(6, 3)),
+            lambda H, W: count_copies(H, sample_adjacency(W, 6, seed=11)), math.comb(6, 3)),
         # cycle4 takes the Moebius sum over four quotients, k4 the pinning branch
         _ClosedForm("cycle4, k4, star3 and path3 counts in K_6 and K_9",
                     lambda: [count_copies(graphs[x], LabeledGraph.complete(n))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import graphs
 from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph
-from .graphon import StepGraphon
+from .graphon import StepGraphon, _integer
 
 
 def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> np.ndarray:
@@ -49,7 +49,7 @@ def conditional_density(H: LabeledGraph, marks, W: StepGraphon) -> np.ndarray:
     """K-point conditional density of H in W given the ordered marked
     vertices: the density with mark i pinned to a coordinate in block x_i,
     one value per block tuple (x_1, ..., x_K)."""
-    mk = tuple(int(a) for a in marks)
+    mk = tuple(_integer(a, "marked vertex") for a in marks)
     if len(mk) == 0 or len(set(mk)) != len(mk):
         raise ValueError("marks must be a non-empty list of distinct vertices")
     for a in mk:
@@ -78,10 +78,7 @@ def two_point_graphon(H: LabeledGraph, W: StepGraphon) -> StepGraphon:
     v = H.vertex_count
     if v < 2:
         raise ValueError("pattern needs at least 2 vertices")
-    k = W.block_count
-    total = np.zeros((k, k))
-    for a in range(1, v + 1):
-        for b in range(a + 1, v + 1):
-            vals = conditional_density(H, (a, b), W)
-            total += vals + vals.T  # the (b, a) term is the transpose
+    # the (b, a) term is the transpose of the (a, b) one
+    pairs = ((a, b) for a in range(1, v + 1) for b in range(a + 1, v + 1))
+    total = sum(t + t.T for t in (conditional_density(H, ab, W) for ab in pairs))
     return StepGraphon(W.block_weights, total / (2 * H.counting_plan.automorphisms))

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .graphon import _json_int
+from .graphon import _integer, _json_int
 
 Edge = tuple[int, int]
 
@@ -54,9 +54,11 @@ class LabeledGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "vertex_count", _integer(self.vertex_count, "vertex_count"))
         if self.vertex_count < 1:
             raise ValueError("vertex_count must be a positive integer")
-        edges = tuple(sorted((a, b) for a, b in self.edges))
+        edges = tuple(sorted((_integer(a, "edge end"), _integer(b, "edge end"))
+                             for a, b in self.edges))
         for i, (a, b) in enumerate(edges):
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")

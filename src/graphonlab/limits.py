@@ -105,9 +105,18 @@ class LimitLaw:
         }
 
 
-def _require_probability_kernel(W: StepGraphon) -> None:
-    if not W.is_probability_kernel:
+def _refuse(H: LabeledGraph, W: StepGraphon, t: float | None = None) -> None:
+    """The refusals of every limit constant (see first_order); given t, or a
+    sum that is 0 exactly when t(H, W) is, only that of an H-free kernel."""
+    if t is not None:
+        if t == 0.0:
+            raise DegenerateGraphonError("pattern has zero density in the kernel; count is a.s. 0")
+    elif not W.is_probability_kernel:
         raise ValueError("limit constants are defined for kernels with values in [0,1]")
+    elif np.all(W.values == 1.0):
+        raise DegenerateGraphonError("kernel is identically 1; count is a.s. constant")
+    elif not H.edges:
+        raise DegenerateGraphonError("pattern has no edges; count is a.s. C(n, v)")
 
 
 class FirstOrder(NamedTuple):
@@ -130,14 +139,9 @@ def first_order(H: LabeledGraph, W: StepGraphon) -> FirstOrder:
     DegenerateGraphonError for the all-ones kernel, edgeless patterns and
     H-free kernels.
     """
-    _require_probability_kernel(W)
-    if np.all(W.values == 1.0):
-        raise DegenerateGraphonError("kernel is identically 1; count is a.s. constant")
-    if not H.edges:
-        raise DegenerateGraphonError("pattern has no edges; count is a.s. C(n, v)")
+    _refuse(H, W)
     t = hom_density(H, W)
-    if t == 0.0:
-        raise DegenerateGraphonError("pattern has zero density in the kernel; count is a.s. 0")
+    _refuse(H, W, t)
     v, aut = H.vertex_count, H.counting_plan.automorphisms
     S = sum(conditional_density(H, (a,), W) for a in range(1, v + 1))
     defect = float(np.max(np.abs(S / v - t))) / t
@@ -151,24 +155,17 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
     S2 the sum over sorted edges (a, b) of the two-point conditional density
     of H - ab, a on rows. Expanding S2^2 gives the weak- minus strong-join
     densities of H glued to itself along ordered edge pairs (a ~ c, b ~ d).
-    Raises ValueError, as first_order does, for kernels with values outside
-    [0,1], and DegenerateGraphonError for edgeless patterns; on the others
-    every summand is >= 0, so the sum is too.
+    Refuses what first_order refuses, with the same error, an H-free kernel
+    after the e contractions. On the others every summand is >= 0, so the
+    sum is too.
     """
-    _require_probability_kernel(W)
-    if not H.edges:
-        raise DegenerateGraphonError("pattern has no edges; count is a.s. C(n, v)")
+    _refuse(H, W)
     aut = H.counting_plan.automorphisms
-
-    def t_minus(e):
-        return conditional_density(LabeledGraph(H.vertex_count, set(H.edges) - {e}), e, W)
-
-    # the first density, a fresh array as each is, starts the sum, with no
-    # k x k zeros to add it to: 0.0 + x is x up to the sign of a zero,
-    # which S2**2 drops
-    S2 = t_minus(H.edges[0])
-    for e in H.edges[1:]:
-        S2 += t_minus(e)
+    S2 = sum(conditional_density(LabeledGraph(H.vertex_count, set(H.edges) - {e}), e, W)
+             for e in H.edges)
+    # each edge's W t_{H-e} integrates to t, so pi^T (W S2) pi = e t; no term
+    # is negative and pi > 0, so the unweighted sum of W S2 is 0 exactly when t is
+    _refuse(H, W, float(np.vdot(W.values, S2)))
     # W (1 - W) S2^2 in place, rounded as W * (1 - W) * S2**2 rounds it
     weighted = 1.0 - W.values
     weighted *= W.values

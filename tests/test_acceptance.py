@@ -31,11 +31,11 @@ from graphonlab import (
     limit_law,
     mean_count,
     run_experiment,
-    sample_graph,
 )
 from graphonlab import simulate
 from graphonlab.cli import main
 from graphonlab.graphs import _sorted_edge
+from graphonlab.sampler import sample_adjacency
 from conftest import CLOSED_FORMS, EDGE_AND_TRIANGLE, random_step_graphon, twenty_block_kernel
 from counting_oracles import copy_edge_sets, exhaustive_copy_count
 from limit_oracles import (
@@ -296,7 +296,7 @@ def test_degenerate_handling(criterion):
         # deterministic maximum
         n = 10
         for seed in (0, 7):
-            G = sample_graph(ones, n, seed)
+            G = sample_adjacency(ones, n, seed)
             assert count_copies(K3, G) == math.perm(n, 3) // 6
             assert count_copies(K3, G) == math.comb(n, 3)
         assert mean_count(K3, ones, n) == math.comb(n, 3)

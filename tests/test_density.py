@@ -195,6 +195,17 @@ class TestConditionalDensity:
         with pytest.raises(ValueError):
             conditional_density(K3, (4,), CONST_HALF)
 
+    @pytest.mark.parametrize("marks", [(1.7,), ("2",), (True,), (1, 2.0)])
+    def test_rejects_marks_that_are_not_integers(self, marks):
+        # refused, not converted: int() would read mark 1.7 as 1 and "2" as 2
+        with pytest.raises(ValueError, match="marked vertex must be an integer"):
+            conditional_density(K3, marks, CONST_HALF)
+
+    def test_numpy_integer_marks(self):
+        marks = (np.int64(1), np.int32(2))
+        assert np.array_equal(conditional_density(K3, marks, CONST_HALF),
+                              conditional_density(K3, (1, 2), CONST_HALF))
+
 
 class TestMeanCount:
     def test_edge_in_constant(self):

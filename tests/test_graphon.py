@@ -454,3 +454,17 @@ class TestKernelSpec:
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5), m=999)
         assert W.block_count == 2
         assert as_step_graphon(KernelSpec.constant(0.4)).block_count == 1
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec.constant(0.4),
+        KernelSpec.two_block_diagonal(0.5),
+        KernelSpec.custom((0.3, 0.7), [[0.2, 0.6], [0.6, 0.9]]),
+    ], ids=["constant", "two_block", "custom"])
+    def test_a_step_kernel_has_one_graphon(self, spec):
+        # built when the spec is validated and kept with it, outside eq,
+        # hash and repr, so its kept products live as long as the spec
+        W = as_step_graphon(spec)
+        assert as_step_graphon(spec, m=16) is W
+        assert spec.step_graphon() is W
+        assert KernelSpec.from_json_dict(spec.to_json_dict()) == spec
+        assert "StepGraphon" not in repr(spec)

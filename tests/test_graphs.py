@@ -58,6 +58,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LabeledGraph(0, frozenset())
 
+    @pytest.mark.parametrize("n,edges", [
+        (3, [(1.0, 2.0), (1, 3)]), (2.5, [(1, 2)]), (True, []), (3, [(True, 2)]), ("3", []),
+        (3, [("1", 2)]),
+    ], ids=["float-ends", "float-n", "bool-n", "bool-end", "string-n", "string-end"])
+    def test_refuses_what_is_not_an_integer(self, n, edges):
+        # refused, not converted: a float edge end would pass here and fail
+        # later as an IndexError in count_copies
+        with pytest.raises(ValueError, match="must be an integer"):
+            LabeledGraph(n, edges)
+
+    def test_numpy_integers_become_ints(self):
+        g = LabeledGraph(np.int64(3), [(np.int32(1), np.int64(2))])
+        assert g == LabeledGraph(3, [(1, 2)])
+        assert {type(x) for x in (g.vertex_count, *g.edges[0])} == {int}
+
     def test_from_edges_normalizes_orientation_and_duplicates(self):
         g = LabeledGraph.from_edges(3, [(2, 1), (1, 2), (3, 1)])
         assert g.edges == ((1, 2), (1, 3))

@@ -225,14 +225,17 @@ class TestLimitLaw:
     # the two-point kernel of the 5-edge path on constant:0.9 is 7.5 * 0.9^5
     (STAR2, two_point_graphon(LabeledGraph.path(5), as_step_graphon(KernelSpec.constant(0.9))),
      ValueError),
-], ids=["all-ones", "pattern-free", "values-above-1"])
+    (K3, as_step_graphon(KernelSpec.two_block_diagonal(0.0)), DegenerateGraphonError),
+], ids=["all-ones", "pattern-free", "values-above-1", "zero-kernel"])
 def test_first_order_constants_refuse_the_same_kernels(H, W, error):
+    # sigma_squared is defined on the same non-degenerate pairs: it refuses
+    # an H-free kernel too, after its e contractions, rather than return 0
     refusals = []
-    for constant in (first_order, limit_law):
+    for constant in (first_order, limit_law, sigma_squared):
         with pytest.raises(error) as info:
             constant(H, W)
         refusals.append((type(info.value), str(info.value)))
-    assert refusals.count(refusals[0]) == 2
+    assert refusals.count(refusals[0]) == 3
 
 
 # Patterns whose contraction counts pin the sharing of t(H, W) and S.

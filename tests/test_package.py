@@ -6,6 +6,7 @@ import inspect
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -170,3 +171,20 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_commands_run(tmp_path):
+    # each command of the "Command line" block exits 0 as printed; simulate
+    # reads the smoke config in place of exp.json and writes into tmp_path
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n\n```\n(.*?)^```$", readme,
+                      flags=re.MULTILINE | re.DOTALL)
+    commands = [shlex.split(line)[1:] for line in block.group(1).splitlines()
+                if line.startswith("graphonlab ")]
+    assert [argv[0] for argv in commands] == [
+        "density", "regularity", "constants", "spectrum", "simulate", "selftest"]
+    paths = {"exp.json": str(root / "configs" / "quick_smoke.json"), "results/": str(tmp_path)}
+    for argv in commands:
+        assert cli.main([paths.get(arg, arg) for arg in argv]) == 0, argv
+    assert (tmp_path / "result.json").is_file()

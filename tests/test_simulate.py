@@ -644,6 +644,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: Unable to allocate")
+        # only the refinement at 2m fails: the block at m is not printed either
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "discretize", refuse)
+        for command in ("regularity", "constants"):
+            assert main([command, "--pattern", "star2", "--kernel", "product", "--m", "8"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: Unable to allocate 2048 bytes")
+
+    def test_a_custom_kernel_is_built_once_per_call(self, tmp_path, monkeypatch, capsys):
+        # the spec keeps the step graphon it validates, and every use reads it
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"pi": [0.3, 0.7], "B": [[0.2, 0.6], [0.6, 0.9]]}))
+        built, post_init = [], graphon.StepGraphon.__post_init__
+
+        def counted(W):
+            built.append(W)
+            post_init(W)
+
+        monkeypatch.setattr(graphon.StepGraphon, "__post_init__", counted)
+        assert main(["constants", "--pattern", "star2", "--kernel", f"custom:{path}"]) == 0
+        assert "regular = false" in capsys.readouterr().out  # no two-point kernel is built
+        assert len(built) == 1
 
     def test_spectrum_json(self, capsys):
         assert main(["spectrum", "--kernel", "two_block:0.5", "--pattern", "star2"]) == 0
