@@ -30,6 +30,7 @@ from .graphs import LabeledGraph, count_copies
 from .limits import (
     REGULARITY_TOL,
     DegenerateGraphonError,
+    _check_tolerance,
     first_order,
     limit_law,
     sigma_squared,
@@ -355,8 +356,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:  # NaN fails this too
-            raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
+        _check_tolerance(getattr(args, "tol", 0.0), "--tol")
         return args.func(args)
     except DegenerateGraphonError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)

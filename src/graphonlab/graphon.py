@@ -155,7 +155,8 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         entry = _KINDS.get(self.kind)
-        if entry is None or len(self.params) != len(entry[0]):
+        if (entry is None or not isinstance(self.params, (list, tuple))
+                or len(self.params) != len(entry[0])):
             raise _kernel_error(self)
         what = [f"{self.kind} kernel {key}" for key in entry[0]]
         object.__setattr__(self, "params", tuple(map(_reals, self.params, what)))
@@ -235,7 +236,9 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     the kernel. For a step kernel a cell lying inside one block gets exactly
     that block's value, and no value leaves the range of the block values;
     for the analytic kernel xy they are the products of the cell midpoints,
-    which keep edge densities exact.
+    which keep edge densities exact. An m that is not an integer, such as
+    4.0, True or "4", is refused; the cache is typed, so a grid kept for 4
+    never answers 4.0.
 
     The graphon is shared and immutable: the last two grids asked for (the m
     and 2m of one `constants` or `regularity` call) are kept, so a repeated
@@ -247,7 +250,7 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     `discretize.cache_clear()` frees them, once no caller holds the grid.
     A step kernel's own graphon, the one `as_step_graphon` returns, and the
     products kept on it live as long as its spec."""
-    if m < 1:
+    if _integer(m, "m") < 1:
         raise ValueError("m must be a positive integer")
     W = spec.step_graphon()
     if W is None:

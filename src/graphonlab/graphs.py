@@ -390,16 +390,21 @@ def count_copies(H: LabeledGraph, G: LabeledGraph | np.ndarray) -> int:
     bounds are checked before any counting starts.
     """
     A = _adjacency(G)
-    n, v = A.shape[0], H.vertex_count
     H.counting_plan  # refuses patterns above PATTERN_VERTEX_BOUND
+    _check_host_size(A.shape[0], H.vertex_count)
+    return _copies(H, A)
+
+
+def _check_host_size(n: int, v: int) -> None:
+    """Refuses a host on n vertices for a pattern on v: v > n, or n^v at or
+    above EXACT_COUNT_BOUND, where float64 counts stop being exact."""
     if v > n:
-        raise ValueError("pattern has more vertices than the host graph")
+        raise ValueError(f"pattern has {v} vertices, more than the host size n = {n}")
     if n**v >= EXACT_COUNT_BOUND:
         raise ValueError(
-            f"host size {n} to the power {v} reaches 2^53: float64 homomorphism "
-            "counts would no longer be exact"
+            f"host size n = {n} to the power {v} reaches 2^53: float64 copy counts "
+            "would no longer be exact"
         )
-    return _copies(H, A)
 
 
 def _copies(H: LabeledGraph, A: np.ndarray) -> int:

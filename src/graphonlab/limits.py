@@ -30,6 +30,7 @@ degree match relative to d_wh.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -119,6 +120,13 @@ def _refuse(H: LabeledGraph, W: StepGraphon, t: float | None = None) -> None:
         raise DegenerateGraphonError("pattern has no edges; count is a.s. C(n, v)")
 
 
+def _check_tolerance(tol, what: str) -> None:
+    """Refuses a regularity tolerance `what` that is not a finite number >= 0:
+    NaN or inf sends every kernel to the mixture branch, -1 to the Gaussian."""
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):  # NaN fails this too
+        raise ValueError(f"{what} must be finite and >= 0, got {tol!r}")
+
+
 class FirstOrder(NamedTuple):
     t: float
     defect: float
@@ -178,8 +186,7 @@ def sigma_squared(H: LabeledGraph, W: StepGraphon) -> float:
 def limit_law(H: LabeledGraph, W: StepGraphon, regularity_tol: float = REGULARITY_TOL) -> LimitLaw:
     """Decide the branch from the regularity defect and assemble the law;
     a regularity_tol that is NaN, infinite or negative is refused."""
-    if not 0.0 <= regularity_tol < math.inf:  # NaN fails this too
-        raise ValueError("regularity_tol must be finite and >= 0")
+    _check_tolerance(regularity_tol, "regularity_tol")
     _, defect, tau2, d_wh = first_order(H, W)
     v = H.vertex_count
     if defect > regularity_tol:

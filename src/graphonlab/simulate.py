@@ -33,8 +33,8 @@ import numpy as np
 from .density import mean_count
 from .graphon import DEFAULT_DISCRETIZATION, KernelSpec, StepGraphon, as_step_graphon
 from .graphon import _json_int, _json_real
-from .graphs import EXACT_COUNT_BOUND, LabeledGraph, _copies
-from .limits import REGULARITY_TOL, LimitLaw, limit_law, sample_limit
+from .graphs import LabeledGraph, _check_host_size, _copies
+from .limits import REGULARITY_TOL, LimitLaw, _check_tolerance, limit_law, sample_limit
 from .sampler import sample_adjacency
 
 SCHEMA_VERSION = 1
@@ -83,7 +83,13 @@ def ks_distance(a, b) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Description of one Monte Carlo run."""
+    """Description of one Monte Carlo run, checked alike when built in Python
+    or read from JSON: each field is typed and stored converted (an integral
+    float such as 150.0 becomes an int; a bool or a string is refused), then
+    replicates >= 1, v <= n with n^v < 2^53 for the pattern's v vertices,
+    reference_draws >= 1000, master_seed >= 0, discretization >= 1,
+    regularity_tol finite and >= 0, ks_threshold in (0, 1] and
+    variance_band > 0. Each refusal is a ValueError that names its field."""
 
     pattern: LabeledGraph
     kernel: KernelSpec
@@ -97,27 +103,29 @@ class ExperimentConfig:
     variance_band: float = 0.25
 
     def __post_init__(self) -> None:
+        # first, so that a NaN tolerance gets limit_law's refusal, not _json_real's
+        _check_tolerance(self.regularity_tol, "regularity_tol")
+        for name, kind in get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if kind is int:
+                value = _json_int(value, name)
+            elif kind is float:
+                value = _json_real(value, name)
+            elif not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+            object.__setattr__(self, name, value)
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        if self.n < self.pattern.vertex_count:
-            raise ValueError("n must be at least the pattern size")
-        if self.n**self.pattern.vertex_count >= EXACT_COUNT_BOUND:
-            raise ValueError(
-                f"n = {self.n} to the power {self.pattern.vertex_count} reaches 2^53: "
-                "copy counts would no longer be exact"
-            )
+        _check_host_size(self.n, self.pattern.vertex_count)
         if self.reference_draws < 1_000:
             raise ValueError("reference_draws must be >= 1000")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.discretization < 1:
             raise ValueError("discretization must be >= 1")
-        # NaN fails every comparison, so each check also rejects it
-        if not (0.0 <= self.regularity_tol < math.inf):
-            raise ValueError("regularity_tol must be finite and >= 0")
-        if not (0.0 < self.ks_threshold <= 1.0):
+        if not 0.0 < self.ks_threshold <= 1.0:
             raise ValueError("ks_threshold must be finite and in (0, 1]")
-        if not (0.0 < self.variance_band < math.inf):
+        if self.variance_band <= 0.0:
             raise ValueError("variance_band must be finite and > 0")
 
     def to_json_dict(self) -> dict:
@@ -129,8 +137,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentConfig":
-        """The config of a JSON object; unknown keys, and a bool, a string or
-        a non-integral number in an integer field, are refused."""
+        """The config of a JSON object. Unknown and missing keys and another
+        schema_version are refused here; the pattern and the kernel read
+        themselves, and the constructor checks every value."""
         if not isinstance(data, Mapping):
             raise ValueError(f"a config must be a JSON object, got {data!r}")
         unknown = set(data) - {f.name for f in fields(cls)} - {"schema_version"}
@@ -142,10 +151,9 @@ class ExperimentConfig:
         version = _json_int(data.get("schema_version", SCHEMA_VERSION), "schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
-        readers = {int: _json_int, float: _json_real}  # the pattern and the kernel read themselves
-        return cls(**{key: readers[kind](data[key], key) if kind in readers
-                      else kind.from_json_dict(data[key])
-                      for key, kind in get_type_hints(cls).items() if key in data})
+        values = {key: value for key, value in data.items() if key != "schema_version"}
+        return cls(**{**values, "pattern": LabeledGraph.from_json_dict(data["pattern"]),
+                      "kernel": KernelSpec.from_json_dict(data["kernel"])})
 
 
 @dataclass(frozen=True)

@@ -297,8 +297,10 @@ class TestDiscretize:
         assert np.allclose(degree(W), 0.4, atol=1e-12)
 
     def test_rejects_zero_cells(self):
-        with pytest.raises(ValueError):
-            discretize(KernelSpec.constant(0.5), 0)
+        # and any m that is not an integer
+        for m in (0, 4.0, True, 2.5, "4"):
+            with pytest.raises(ValueError, match="^m must be"):
+                discretize(KernelSpec.constant(0.5), m)
 
     def test_idempotent_on_aligned_custom_grid(self):
         spec = KernelSpec.custom((0.25, 0.25, 0.5), [[0.1, 0.2, 0.3], [0.2, 0.4, 0.5], [0.3, 0.5, 0.6]])
@@ -401,12 +403,14 @@ class TestDiscretize:
         # 4.0 == 4 and True == 1, yet neither is a number of cells
         for kernel in (KernelSpec.product(), KernelSpec.constant(0.3)):
             discretize(kernel, int(m))
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match="^m must be an integer"):
                 discretize(kernel, m)
 
 
 class TestKernelSpec:
     def test_parameter_range(self):
+        with pytest.raises(ValueError, match="a kernel is an object"):
+            KernelSpec("constant", 0.5)  # one value, not a tuple of them
         with pytest.raises(ValueError):
             KernelSpec.constant(1.5)
         with pytest.raises(ValueError):

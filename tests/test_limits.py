@@ -208,7 +208,8 @@ class TestLimitLaw:
         # NaN and inf would send every kernel to the mixture branch, -1 every
         # kernel to the Gaussian one
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
-        with pytest.raises(ValueError, match=r"^regularity_tol must be finite and >= 0$"):
+        message = f"^regularity_tol must be finite and >= 0, got {tol!r}$"
+        with pytest.raises(ValueError, match=message):
             limit_law(STAR2, W, regularity_tol=tol)
 
     def test_validation(self):

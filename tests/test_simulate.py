@@ -181,7 +181,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [math.nan, -1.0, -1e-300, math.inf])
     def test_rejects_bad_regularity_tol(self, value):
-        with pytest.raises(ValueError, match="regularity_tol"):
+        # the message limit_law and --tol give too
+        message = f"^regularity_tol must be finite and >= 0, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
             small_config(regularity_tol=value)
 
     @pytest.mark.parametrize("value", [math.nan, 0.0, -0.1, 1.0 + 1e-12, math.inf])
@@ -207,15 +209,20 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key,value",
         [("n", 60.9), ("master_seed", True), ("replicates", "6"), ("ks_treshold", 0.5),
-         ("variance_band", 10**400)],
+         ("variance_band", 10**400), ("ks_threshold", True), ("discretization", 64.5),
+         ("pattern", "k3")],
         ids=["n-60.9", "master_seed-True", "replicates-6", "ks_treshold-0.5",
-             "variance_band-10**400"],
+             "variance_band-10**400", "ks_threshold-True", "discretization-64.5", "pattern-k3"],
     )
     def test_rejects_fields_it_would_change_or_ignore(self, key, value):
+        # read from JSON, and, when the key is a field, built in Python
         data = small_config().to_json_dict()
         data[key] = value
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_json_dict(data)
+        if key in {f.name for f in fields(ExperimentConfig)}:
+            with pytest.raises(ValueError, match=key):
+                small_config(**{key: value})
 
     @pytest.mark.parametrize("key", ["pattern", "kernel", "n", "replicates", "master_seed"])
     def test_refuses_a_missing_required_key(self, key):
@@ -225,15 +232,20 @@ class TestConfig:
             ExperimentConfig.from_json_dict(data)
 
     def test_accepts_integral_floats(self):
+        # both ways, each stored as an int
         data = small_config().to_json_dict()
         data.update(n=40.0, master_seed=71.0)
-        assert ExperimentConfig.from_json_dict(data) == small_config()
+        for cfg in (ExperimentConfig.from_json_dict(data), small_config(n=40.0, master_seed=71.0)):
+            assert cfg == small_config()
+            assert type(cfg.n) is int and type(cfg.master_seed) is int
 
     def test_refuses_n_whose_counts_leave_exact_floats(self):
         # 98^8 < 2^53 <= 99^8; the configs are only built, never run
         eight = LabeledGraph.path(7)
         assert small_config(pattern=eight, n=98).n == 98
-        with pytest.raises(ValueError, match="2\\^53"):
+        # the refusal count_copies gives
+        with pytest.raises(ValueError, match=r"^host size n = 99 to the power 8 reaches 2\^53: "
+                                             r"float64 copy counts would no longer be exact$"):
             small_config(pattern=eight, n=99)
 
     @pytest.mark.parametrize(
@@ -633,7 +645,7 @@ class TestCli:
         assert main([*argv, "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--tol" in captured.err
+        assert captured.err == f"error: --tol must be finite and >= 0, got {float(tol)!r}\n"
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         def refuse(spec, m):
