@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import graphs
-from .graphs import PATTERN_VERTEX_BOUND, LabeledGraph
+from .graphs import LabeledGraph
 from .graphon import StepGraphon, _integer
 
 
@@ -29,8 +29,7 @@ def _contract(F: LabeledGraph, W: StepGraphon, marks: tuple[int, ...] = ()) -> n
     all ones on the marks and the kernel on every edge; the result keeps
     one axis per mark, in mark order."""
     v, k = F.vertex_count, W.block_count
-    if v > PATTERN_VERTEX_BOUND:
-        raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
+    graphs._check_pattern_size(v)
     unary = [np.ones(k) if u in marks else W.block_weights for u in range(1, v + 1)]
     plan = graphs._plan(tuple(range(1, v + 1)), F.edges, marks)
     return graphs._run(plan, unary, [W.values] * F.edge_count, k, W)
@@ -62,7 +61,7 @@ def mean_count(H: LabeledGraph, W: StepGraphon, n: int) -> float:
     """Expected number of copies of H in a W-random graph on n vertices:
     (n)_{|V(H)|} / |Aut(H)| * t(H, W)."""
     v = H.vertex_count
-    if n < v:
+    if _integer(n, "n") < v:
         raise ValueError(f"need n >= {v}, got {n}")
     return math.perm(n, v) / H.counting_plan.automorphisms * hom_density(H, W)
 

@@ -154,7 +154,7 @@ class KernelSpec:
     params: tuple = ()
 
     def __post_init__(self) -> None:
-        entry = _KINDS.get(self.kind)
+        entry = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if (entry is None or not isinstance(self.params, (list, tuple))
                 or len(self.params) != len(entry[0])):
             raise _kernel_error(self)
@@ -238,7 +238,8 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     for the analytic kernel xy they are the products of the cell midpoints,
     which keep edge densities exact. An m that is not an integer, such as
     4.0, True or "4", is refused; the cache is typed, so a grid kept for 4
-    never answers 4.0.
+    never answers 4.0. A spec that is not a KernelSpec is refused too, but
+    an unhashable one fails in the cache's key before this body runs.
 
     The graphon is shared and immutable: the last two grids asked for (the m
     and 2m of one `constants` or `regularity` call) are kept, so a repeated
@@ -250,6 +251,8 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     `discretize.cache_clear()` frees them, once no caller holds the grid.
     A step kernel's own graphon, the one `as_step_graphon` returns, and the
     products kept on it live as long as its spec."""
+    if not isinstance(spec, KernelSpec):
+        raise ValueError(f"spec must be a KernelSpec, got {spec!r}")
     if _integer(m, "m") < 1:
         raise ValueError("m must be a positive integer")
     W = spec.step_graphon()

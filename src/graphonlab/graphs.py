@@ -158,10 +158,15 @@ class CountingPlan:
     automorphisms: int
 
 
+def _check_pattern_size(v: int) -> None:
+    """Refuses a pattern on more than PATTERN_VERTEX_BOUND vertices."""
+    if v > PATTERN_VERTEX_BOUND:
+        raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
+
+
 def _counting_plan(H: LabeledGraph) -> CountingPlan:
     v = H.vertex_count
-    if v > PATTERN_VERTEX_BOUND:  # before any of the Bell(v) partitions is built
-        raise ValueError(f"pattern limited to {PATTERN_VERTEX_BOUND} vertices, got {v}")
+    _check_pattern_size(v)  # before any of the Bell(v) partitions is built
     coefficients: dict[LabeledGraph, int] = {}
     for labels in _set_partitions(v):
         if any(labels[a - 1] == labels[b - 1] for a, b in H.edges):

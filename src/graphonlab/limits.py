@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import conditional_density, hom_density, two_point_graphon
-from .graphon import StepGraphon
+from .graphon import StepGraphon, _integer
 from .graphs import LabeledGraph
 from .spectral import spec_minus, spectrum
 
@@ -66,14 +66,17 @@ class LimitLaw:
     lambdas: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        # NaN fails each comparison below, so it is refused with inf
         if self.kind == GAUSSIAN:
-            if self.tau2 is None or self.tau2 < 0:
-                raise ValueError("gaussian law needs tau2 >= 0")
+            if self.tau2 is None or not 0.0 <= self.tau2 < math.inf:
+                raise ValueError(f"gaussian law needs a finite tau2 >= 0, got {self.tau2!r}")
             if self.sigma2 is not None or self.lambdas:
                 raise ValueError("gaussian law carries no mixture parameters")
         elif self.kind == MIXTURE:
-            if self.sigma2 is None or self.sigma2 < 0:
-                raise ValueError("mixture law needs sigma2 >= 0")
+            if self.sigma2 is None or not 0.0 <= self.sigma2 < math.inf:
+                raise ValueError(f"mixture law needs a finite sigma2 >= 0, got {self.sigma2!r}")
+            if not all(-math.inf < lam < math.inf for lam in self.lambdas):
+                raise ValueError(f"mixture law needs finite lambdas, got {self.lambdas!r}")
             if self.tau2 is not None:
                 raise ValueError("mixture law carries no tau2")
         else:
@@ -122,8 +125,10 @@ def _refuse(H: LabeledGraph, W: StepGraphon, t: float | None = None) -> None:
 
 def _check_tolerance(tol, what: str) -> None:
     """Refuses a regularity tolerance `what` that is not a finite number >= 0:
-    NaN or inf sends every kernel to the mixture branch, -1 to the Gaussian."""
-    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):  # NaN fails this too
+    NaN or inf sends every kernel to the mixture branch, -1 to the Gaussian,
+    and a bool is no tolerance at all."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not 0.0 <= tol < math.inf):  # NaN fails this too
         raise ValueError(f"{what} must be finite and >= 0, got {tol!r}")
 
 
@@ -201,7 +206,7 @@ def sample_limit(law: LimitLaw, seed: int, count: int) -> np.ndarray:
     Mixture draws are sigma*Z + sum_lambda lambda*(Z_lambda^2 - 1) with all
     normals independent; the Philox stream is consumed in a fixed order.
     """
-    if count < 1:
+    if _integer(count, "count") < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     draws = rng.standard_normal(count)

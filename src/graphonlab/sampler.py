@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphon import StepGraphon
+from .graphon import StepGraphon, _integer
 from .graphs import LabeledGraph
 
 
@@ -21,7 +21,7 @@ def sample_adjacency(W: StepGraphon, n: int, seed: int) -> np.ndarray:
     all-ones kernel produce the complete graph and the zero kernel the empty
     graph deterministically. Each call returns a fresh C-contiguous array.
     """
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if not W.is_probability_kernel:
         raise ValueError("sampling requires a kernel with values in [0,1]")

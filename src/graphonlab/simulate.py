@@ -4,13 +4,16 @@ Runs replicated W-random graph counts, compares the empirical law of the
 normalized statistic against draws from the theoretical limit, and emits
 machine-readable reports. All randomness derives from one master seed via
 per-purpose Philox streams, so results are byte-identical across runs and
-worker counts. With k workers the replicates are split into k contiguous
-chunks: the calling process counts the first, k - 1 worker processes the
-rest. The workers are forked on first use and kept for later calls with the
-same worker count, so they see this module's state as of their fork; a call
-with another count shuts them down first, and the kept ones are joined at
-interpreter exit. A kept worker whose caller dies without getting there
-exits by itself within about a second.
+worker counts. Every run counts through one path: with k workers the
+replicates are split into contiguous chunks of ceil(R / k), the calling
+process counts the first, and k - 1 worker processes count the rest, when
+there is more than one chunk. The largest count is then checked once
+against the complete graph's, and all counts are centred and scaled in one
+array step. The workers are forked on first use and kept for later calls
+with the same worker count, so they see this module's state as of their
+fork; a call with another count shuts them down first, and the kept ones
+are joined at interpreter exit. A kept worker whose caller dies without
+getting there exits by itself within about a second.
 """
 
 from __future__ import annotations
@@ -163,16 +166,6 @@ class SampleRecord:
     seed: int
     raw_count: int
     normalized: float
-
-
-def _record(H: LabeledGraph, n: int, seed: int, raw: int, mu: float, law: LimitLaw) -> SampleRecord:
-    """The replicate of a raw copy count of H on n vertices: centered at
-    mu and scaled by n^scale_exponent. A count above the complete graph's,
-    (n)_v / |Aut H|, is a counting bug and raises."""
-    if raw > math.perm(n, H.vertex_count) // H.counting_plan.automorphisms:
-        raise RuntimeError("copy count exceeds the complete-graph bound; counting bug")
-    normalized = (raw - mu) / float(n) ** law.scale_exponent
-    return SampleRecord(seed=seed, raw_count=raw, normalized=normalized)
 
 
 @dataclass(frozen=True)
@@ -336,23 +329,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     mu = mean_count(H, W, n)
     seeds = [replicate_seed(config.master_seed, i) for i in range(config.replicates)]
     count, workers = partial(_count, H, W, n), _worker_count(len(seeds))
-    if workers == 1:
-        counts = list(map(count, seeds))
-    else:  # one contiguous chunk of seeds per worker, counts in seed order
-        chunk = math.ceil(len(seeds) / workers)
-        with _kept_lock:
-            # chunks 2, 3, ... go to the pool; this process counts the first
-            pool = _pool(workers - 1)
-            try:
-                pooled = pool.map(count, seeds[chunk:], chunksize=chunk)
-                counts = [*map(count, seeds[:chunk]), *pooled]
-            except BrokenProcessPool:  # a worker died; the next call forks afresh
-                _drop_pool()
-                raise
-    records = tuple(_record(H, n, s, c, mu, law) for s, c in zip(seeds, counts))
+    chunk = math.ceil(len(seeds) / workers)  # one contiguous chunk of seeds per worker
+    rest = seeds[chunk:]
+    with _kept_lock:
+        try:  # this process counts the first chunk, the kept pool the rest, in seed order
+            pooled = _pool(workers - 1).map(count, rest, chunksize=chunk) if rest else ()
+            counts = [*map(count, seeds[:chunk]), *pooled]
+        except BrokenProcessPool:  # a worker died; the next call forks afresh
+            _drop_pool()
+            raise
+    if max(counts) > math.perm(n, H.vertex_count) // H.counting_plan.automorphisms:
+        raise RuntimeError("copy count exceeds the complete-graph bound; counting bug")
+    raw = np.array(counts, dtype=float)
+    normalized = (raw - mu) / n**law.scale_exponent
+    records = tuple(map(SampleRecord, seeds, counts, normalized.tolist()))
 
-    normalized = np.array([r.normalized for r in records])
-    raw = np.array([r.raw_count for r in records], dtype=float)
     reference_seed = stream_seed(config.master_seed, _REFERENCE_STREAM)
     reference = sample_limit(law, reference_seed, config.reference_draws)
 

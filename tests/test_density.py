@@ -223,6 +223,8 @@ class TestMeanCount:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             mean_count(K3, CONST_HALF, 2)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 4\.5$"):
+            mean_count(K3, CONST_HALF, 4.5)
 
 
 class TestRegularity:

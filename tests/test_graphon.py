@@ -301,6 +301,9 @@ class TestDiscretize:
         for m in (0, 4.0, True, 2.5, "4"):
             with pytest.raises(ValueError, match="^m must be"):
                 discretize(KernelSpec.constant(0.5), m)
+        # and a spec that is not a KernelSpec, such as its own step graphon
+        with pytest.raises(ValueError, match="^spec must be a KernelSpec, got StepGraphon"):
+            discretize(as_step_graphon(KernelSpec.constant(0.5)), 4)
 
     def test_idempotent_on_aligned_custom_grid(self):
         spec = KernelSpec.custom((0.25, 0.25, 0.5), [[0.1, 0.2, 0.3], [0.2, 0.4, 0.5], [0.3, 0.5, 0.6]])
@@ -411,6 +414,8 @@ class TestKernelSpec:
     def test_parameter_range(self):
         with pytest.raises(ValueError, match="a kernel is an object"):
             KernelSpec("constant", 0.5)  # one value, not a tuple of them
+        with pytest.raises(ValueError, match="a kernel is an object"):
+            KernelSpec(["constant"], (0.5,))  # a kind that is not a string
         with pytest.raises(ValueError):
             KernelSpec.constant(1.5)
         with pytest.raises(ValueError):

@@ -203,10 +203,10 @@ class TestLimitLaw:
         with pytest.raises(DegenerateGraphonError):
             limit_law(K3, as_step_graphon(KernelSpec.two_block_diagonal(0.0)))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, True, False])
     def test_refuses_a_tolerance_not_finite_and_nonnegative(self, tol):
         # NaN and inf would send every kernel to the mixture branch, -1 every
-        # kernel to the Gaussian one
+        # kernel to the Gaussian one; a bool is no tolerance, as in a config
         W = as_step_graphon(KernelSpec.two_block_diagonal(0.5))
         message = f"^regularity_tol must be finite and >= 0, got {tol!r}$"
         with pytest.raises(ValueError, match=message):
@@ -217,6 +217,15 @@ class TestLimitLaw:
             LimitLaw.gaussian(-1.0, 3)
         with pytest.raises(ValueError):
             LimitLaw("nope", 2.0)
+        # NaN passes a sign check, and either would reach sample_limit's draws
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^gaussian law needs a finite tau2 >= 0"):
+                LimitLaw("gaussian", 2.5, tau2=bad)
+            with pytest.raises(ValueError, match="^mixture law needs a finite sigma2 >= 0"):
+                LimitLaw.mixture(bad, [], 3)
+            for lambdas in ([bad], [0.1, -bad]):
+                with pytest.raises(ValueError, match="^mixture law needs finite lambdas"):
+                    LimitLaw.mixture(0.1, lambdas, 3)
 
 
 @pytest.mark.parametrize("H,W,error", [
@@ -433,6 +442,8 @@ class TestSampleLimit:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             sample_limit(LimitLaw.gaussian(1.0, 2), seed=1, count=0)
+        with pytest.raises(ValueError, match=r"^count must be an integer, got 10\.5$"):
+            sample_limit(LimitLaw.gaussian(1.0, 2), seed=0, count=10.5)
 
     @pytest.mark.parametrize(
         "law",

@@ -118,11 +118,12 @@ def test_kernel_kinds_are_known_only_to_graphon():
 
 
 def test_size_and_tolerance_refusals_are_raised_in_one_place_each():
-    # graphs holds the host-size bound and limits the tolerance check;
-    # count_copies, the config and the CLI call them
+    # graphs holds the host-size and pattern-size bounds and limits the
+    # tolerance check; count_copies, the densities, the config and the CLI
+    # call them
     sources = [inspect.getsource(importlib.import_module(f"graphonlab.{info.name}"))
                for info in pkgutil.iter_modules(graphonlab.__path__)]
-    for refusal in ("reaches 2^53", "must be finite and >= 0"):
+    for refusal in ("reaches 2^53", "must be finite and >= 0", "pattern limited to"):
         assert sum(source.count(refusal) for source in sources) == 1, refusal
 
 

@@ -7,19 +7,19 @@ import pytest
 from counting_oracles import edge_list_sample_graph
 
 from graphonlab import (
+    ExperimentConfig,
     KernelSpec,
     LabeledGraph,
-    LimitLaw,
     StepGraphon,
     as_step_graphon,
     count_copies,
     hom_density,
     mean_count,
+    run_experiment,
     sample_graph,
 )
 from graphonlab.graphon import discretize
 from graphonlab.sampler import sample_adjacency
-from graphonlab.simulate import SampleRecord, _record
 
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
@@ -68,8 +68,13 @@ class TestSampleGraph:
             sample_graph(derived, 5, 0)
 
     def test_rejects_zero_vertices(self):
+        W = as_step_graphon(KernelSpec.constant(0.5))
         with pytest.raises(ValueError):
-            sample_graph(as_step_graphon(KernelSpec.constant(0.5)), 0, 0)
+            sample_graph(W, 0, 0)
+        # and a vertex count that is not an integer
+        for n in (4.5, 4.0, True):
+            with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+                sample_adjacency(W, n, 0)
 
     @pytest.mark.parametrize(
         "W",
@@ -98,53 +103,35 @@ class TestSampleGraph:
 
 
 class TestNormalizedStatistic:
-    """The replicate record of a sample: simulate._record of the count_copies
-    count, centered at mean_count and scaled by n^scale_exponent."""
+    """The replicate records of a run: each sample's copy count, centered at
+    mean_count and scaled by n^scale_exponent. The centring of the all-ones
+    kernel is checked in test_acceptance (mean_count(K3, ones, n) equals
+    C(n, 3)), a count above the complete graph's in test_simulate, and a host
+    smaller than the pattern by count_copies' own refusal in test_graphs."""
 
     @staticmethod
-    def record(H, W, G, law, seed=0):
-        n = G.vertex_count
-        return _record(H, n, seed, count_copies(H, G), mean_count(H, W, n), law)
-
-    def test_all_ones_kernel_is_exactly_centered(self):
-        W = as_step_graphon(KernelSpec.constant(1.0))
-        law = LimitLaw.gaussian(0.0, 3)
-        for seed in (3, 4):
-            rec = self.record(K3, W, sample_graph(W, 10, seed), law, seed=seed)
-            assert rec == SampleRecord(seed=seed, raw_count=math.perm(10, 3) // 6, normalized=0.0)
+    def run(H, kernel, n, replicates, seed=0):
+        return run_experiment(ExperimentConfig(pattern=H, kernel=kernel, n=n,
+                                               replicates=replicates, master_seed=seed,
+                                               reference_draws=1_000))
 
     def test_single_edge_two_point_support(self):
         p = 0.3
-        W = as_step_graphon(KernelSpec.constant(p))
-        law = LimitLaw.gaussian(0.0, 2)  # exponent 1.5
-        K2 = LabeledGraph.complete(2)
-        seen = {self.record(K2, W, sample_graph(W, 2, seed), law).normalized for seed in range(40)}
-        assert seen == {(0 - p) / 2**1.5, (1 - p) / 2**1.5}
+        result = self.run(LabeledGraph.complete(2), KernelSpec.constant(p), 2, 40)
+        e = result.law.scale_exponent
+        assert {r.normalized for r in result.records} == {(0 - p) / 2**e, (1 - p) / 2**e}
 
     def test_replicate_mean_matches_mean_count(self):
-        W = as_step_graphon(KernelSpec.two_block_diagonal(0.6))
-        n, reps = 40, 200
-        law = LimitLaw.mixture(0.0, (), 3)
-        raws = np.array([self.record(STAR2, W, sample_graph(W, n, seed), law).raw_count
-                         for seed in range(reps)], dtype=float)
+        kernel, n, reps = KernelSpec.two_block_diagonal(0.6), 40, 200
+        result = self.run(STAR2, kernel, n, reps)
+        raws = np.array([r.raw_count for r in result.records], dtype=float)
         se = float(np.std(raws, ddof=1)) / math.sqrt(reps)
-        assert abs(float(np.mean(raws)) - mean_count(STAR2, W, n)) <= 4 * se
+        assert abs(float(np.mean(raws)) - mean_count(STAR2, as_step_graphon(kernel), n)) <= 4 * se
 
     def test_raw_count_within_complete_graph_bound(self):
-        W = as_step_graphon(KernelSpec.constant(0.9))
-        law = LimitLaw.gaussian(0.0, 3)
-        G = sample_graph(W, 12, 5)
-        rec = self.record(K3, W, G, law)
-        assert 0 <= rec.raw_count <= math.perm(12, 3) // 6
-        assert rec.raw_count == count_copies(K3, G)
-        # K_12 holds (12)_3 / |Aut K3| triangles; one more is a counting bug
-        bound = math.perm(12, 3) // 6
-        assert _record(K3, 12, 0, bound, 0.0, law).raw_count == bound
-        with pytest.raises(RuntimeError, match="complete-graph bound"):
-            _record(K3, 12, 0, bound + 1, 0.0, law)
-
-    def test_rejects_host_smaller_than_pattern(self):
-        W = as_step_graphon(KernelSpec.constant(0.5))
-        law = LimitLaw.gaussian(0.0, 3)
-        with pytest.raises(ValueError):
-            self.record(K3, W, sample_graph(W, 2, 0), law)
+        # each record holds count_copies of its own sample
+        kernel = KernelSpec.constant(0.9)
+        W = as_step_graphon(kernel)
+        for r in self.run(K3, kernel, 12, 5, seed=5).records:
+            assert 0 <= r.raw_count <= math.perm(12, 3) // 6
+            assert r.raw_count == count_copies(K3, sample_graph(W, 12, r.seed))

@@ -179,7 +179,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(n=2)
 
-    @pytest.mark.parametrize("value", [math.nan, -1.0, -1e-300, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -1e-300, math.inf, True, False])
     def test_rejects_bad_regularity_tol(self, value):
         # the message limit_law and --tol give too
         message = f"^regularity_tol must be finite and >= 0, got {value!r}$"
@@ -395,12 +395,33 @@ class TestRunExperiment:
     def test_a_kept_worker_reuses_its_heap_pages(self):
         # a fresh process that has freed no large block forks the pool; its
         # worker then faults in pages for each replicate's temporaries anew
-        # (about 3,400 faults for these 30 replicates) unless it keeps them
+        # (about 2,000 faults for these 30 replicates) unless it keeps them.
+        # Two BLAS threads per process, whatever this run's own setting:
+        # with one, the faults stay few without the worker's warm-up too.
+        # Even so the faults depend on the heap's layout, which shifts with
+        # the size of the process environment, and some layouts hide them;
+        # so the worker is also asked to place a 1 MiB block, which glibc's
+        # malloc maps on its own unless the worker has raised its mmap
+        # threshold above that size
         script = textwrap.dedent("""
-            import os
+            import ctypes, os
             os.environ["GRAPHONLAB_THREADS"] = "2"
             os.sched_getaffinity = lambda pid: {0, 1}
+            import numpy as np
             from graphonlab import ExperimentConfig, KernelSpec, LabeledGraph, simulate
+
+            class Mallinfo(ctypes.Structure):
+                _fields_ = [(name, ctypes.c_int) for name in (
+                    "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+                    "uordblks", "fordblks", "keepcost")]
+
+            def maps_a_block():
+                mallinfo = ctypes.CDLL(None).mallinfo
+                mallinfo.argtypes, mallinfo.restype = [], Mallinfo
+                before = mallinfo().hblks  # the blocks malloc has mapped on their own
+                block = np.empty(1 << 17)
+                return mallinfo().hblks > before
+
             config = ExperimentConfig(
                 pattern=LabeledGraph.complete(3), kernel=KernelSpec.two_block_diagonal(0.5),
                 n=150, replicates=60, master_seed=1, reference_draws=1000)
@@ -413,14 +434,17 @@ class TestRunExperiment:
 
             before = faults()
             simulate.run_experiment(config)
-            print(faults() - before)
+            print(faults() - before, simulate._kept[1].submit(maps_a_block).result())
         """)
         src = str(Path(simulate.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="2")
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert int(run.stdout) < 300
+        faults, mapped = run.stdout.split()
+        assert int(faults) < 300
+        assert mapped == "False"
 
     def test_threads_sharing_the_kept_pool_get_serial_counts(self, fresh_pool, monkeypatch):
         # 2 and 7 replicates need pools of 1 and 2 workers, so concurrent
