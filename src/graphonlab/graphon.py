@@ -230,7 +230,7 @@ def _kernel_error(got) -> ValueError:
     return ValueError(f'a kernel is an object with a "kind" and its keys ({known}), got {got!r}')
 
 
-@lru_cache(maxsize=2, typed=True)
+@lru_cache(maxsize=4, typed=True)
 def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     """Step graphon on m uniform blocks whose values are the cell averages of
     the kernel. For a step kernel a cell lying inside one block gets exactly
@@ -241,13 +241,14 @@ def discretize(spec: KernelSpec, m: int) -> StepGraphon:
     never answers 4.0. A spec that is not a KernelSpec is refused too, but
     an unhashable one fails in the cache's key before this body runs.
 
-    The graphon is shared and immutable: the last two grids asked for (the m
-    and 2m of one `constants` or `regularity` call) are kept, so a repeated
-    call returns the same graphon, with every product it has already kept
-    (B diag(pi) B, B diag(pi) B diag(pi) B and the like; see
-    StepGraphon._two_step). The bound covers one call: calls that alternate
-    between more than two grids evict and rebuild them. The kept grids and
-    their products stay in memory after the call returns;
+    The graphon is shared and immutable: the last four grids asked for (the
+    m and 2m of the last two `constants` or `regularity` calls) are kept, so
+    a repeated call returns the same graphon, with every product it has
+    already kept (B diag(pi) B, B diag(pi) B diag(pi) B and the like; see
+    StepGraphon._two_step). The bound covers two calls: calls that cycle
+    through more than four grids evict the one asked for least recently and
+    rebuild it. The kept grids and their products stay in memory after the
+    call returns, up to four grids of m^2 float64 values each;
     `discretize.cache_clear()` frees them, once no caller holds the grid.
     A step kernel's own graphon, the one `as_step_graphon` returns, and the
     products kept on it live as long as its spec."""

@@ -294,10 +294,8 @@ def _run(plan: _Plan, unary: list, pair: list, size: int, W=None):
                 P = (left if f is None else left * f) @ right
             if flip:
                 P = P.T
-            if merge:
-                if shared:  # read-only: scale a copy, laid out as P is
-                    P = P.copy(order="K")
-                P *= pair[k]  # P is a fresh product, so no other factor changes
+            if merge:  # a fresh P in place, a read-only kept one into an array laid out as P is
+                P = np.multiply(P, pair[k], out=np.empty_like(P) if shared else P)
             pair[k] = P
         else:
             return total * _pin(step, f, unary, pair, size, W)

@@ -372,16 +372,18 @@ class TestDiscretize:
         e32, e64 = sup_error(32), sup_error(64)
         assert 0.35 <= e64 / e32 <= 0.65
 
-    def test_keeps_the_last_two_grids(self, fresh_grids):
-        # a constants call asks for m and 2m, pattern after pattern
+    def test_keeps_the_last_four_grids(self, fresh_grids):
+        # a constants call asks for m and 2m, pattern after pattern: the
+        # grids of the last two calls are kept
         spec = KernelSpec.product()
-        W4, W8 = discretize(spec, 4), discretize(spec, 8)
-        assert discretize(spec, 4) is W4 and discretize(spec, 8) is W8
-        discretize(spec, 16)  # drops m = 4, the grid asked for least recently
-        assert discretize(spec, 8) is W8
-        again = discretize(spec, 4)
-        assert again is not W4 and again.values.tobytes() == W4.values.tobytes()
-        assert discretize.cache_info().misses == 4
+        grids = {m: discretize(spec, m) for m in (4, 8, 16, 32)}
+        assert all(discretize(spec, m) is W for m, W in grids.items())
+        assert discretize(spec, 4) is grids[4]  # so m = 8 is now the grid asked for least recently
+        discretize(spec, 64)  # a fifth grid drops m = 8
+        assert all(discretize(spec, m) is grids[m] for m in (4, 16, 32))
+        again = discretize(spec, 8)  # and, built again, drops m = 64
+        assert again is not grids[8] and again.values.tobytes() == grids[8].values.tobytes()
+        assert discretize.cache_info().misses == 6 and discretize.cache_info().currsize == 4
 
     def test_specs_from_arrays_and_from_lists_share_one_graphon(self):
         # equal specs, whatever they were built from or if pickled, find the

@@ -1,9 +1,11 @@
 """Sampler module: W-random graphs, and the normalized statistic of a sample."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from blowup_oracle import counts_by_block_size, exact_law
 from counting_oracles import edge_list_sample_graph
 
 from graphonlab import (
@@ -23,6 +25,10 @@ from graphonlab.sampler import sample_adjacency
 
 K3 = LabeledGraph.complete(3)
 STAR2 = LabeledGraph.star(2)
+STAR3 = LabeledGraph.star(3)
+# the 0/1 two-block kernels: two disjoint cliques, and the complete bipartite graph
+CLIQUES = as_step_graphon(KernelSpec.two_block_diagonal(1.0))
+BIPARTITE = as_step_graphon(KernelSpec.custom([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestSampleGraph:
@@ -135,3 +141,66 @@ class TestNormalizedStatistic:
         for r in self.run(K3, kernel, 12, 5, seed=5).records:
             assert 0 <= r.raw_count <= math.perm(12, 3) // 6
             assert r.raw_count == count_copies(K3, sample_graph(W, 12, r.seed))
+
+
+class TestBlowupLaw:
+    """The sampler, the counter and mean_count against the exact law of X_n
+    on a 0/1 two-block kernel (tests/blowup_oracle.py), where X_n is a
+    polynomial in the Binomial(n, 1/2) size N of block 1."""
+
+    KERNELS = {"two_block:1": CLIQUES, "bipartite": BIPARTITE}
+    PATTERNS = {"star2": STAR2, "k3": K3, "star3": STAR3}
+    # copies in two disjoint cliques K_N, K_{n-N}, and in K_{N,n-N}
+    CLOSED_FORMS = {
+        ("two_block:1", "star2"): lambda N, M: 3 * (math.comb(N, 3) + math.comb(M, 3)),
+        ("two_block:1", "k3"): lambda N, M: math.comb(N, 3) + math.comb(M, 3),
+        ("two_block:1", "star3"): lambda N, M: 4 * (math.comb(N, 4) + math.comb(M, 4)),
+        ("bipartite", "star2"): lambda N, M: N * math.comb(M, 2) + M * math.comb(N, 2),
+        ("bipartite", "k3"): lambda N, M: 0,
+        ("bipartite", "star3"): lambda N, M: N * math.comb(M, 3) + M * math.comb(N, 3),
+    }
+
+    @pytest.mark.parametrize("kernel, pattern", list(CLOSED_FORMS))
+    def test_counts_match_the_closed_forms(self, kernel, pattern):
+        closed_form = self.CLOSED_FORMS[kernel, pattern]
+        for n in range(12):
+            counts = counts_by_block_size(self.PATTERNS[pattern], self.KERNELS[kernel], n)
+            assert counts == [closed_form(N, n - N) for N in range(n + 1)]
+
+    def test_pinned_laws(self):
+        # star2 at n = 4: N = 0..4 with probabilities 1, 4, 6, 4, 1 over 16
+        assert exact_law(STAR2, CLIQUES, 4) == {0: Fraction(3, 8), 3: Fraction(1, 2),
+                                                12: Fraction(1, 8)}
+        assert exact_law(STAR2, BIPARTITE, 4) == {0: Fraction(1, 8), 3: Fraction(1, 2),
+                                                  4: Fraction(3, 8)}
+        assert exact_law(K3, BIPARTITE, 60) == {0: 1}
+        assert sum(exact_law(STAR3, CLIQUES, 60).values()) == 1
+
+    def test_refuses_other_kernels(self):
+        for W in (as_step_graphon(KernelSpec.two_block_diagonal(0.5)),
+                  StepGraphon(np.array([0.25, 0.75]), np.array([[1.0, 0.0], [0.0, 1.0]]))):
+            with pytest.raises(ValueError, match="^need "):
+                exact_law(STAR2, W, 4)
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    @pytest.mark.parametrize("pattern", list(PATTERNS))
+    @pytest.mark.parametrize("n", [10, 60, 150])
+    def test_mean_is_mean_count(self, kernel, pattern, n):
+        H, W = self.PATTERNS[pattern], self.KERNELS[kernel]
+        mean = sum(count * p for count, p in exact_law(H, W, n).items())
+        assert float(mean) == pytest.approx(mean_count(H, W, n), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_sampled_counts_lie_within_dkw(self, kernel):
+        # integer counts, not normalized floats, which can round equal counts apart
+        W, n, replicates, alpha = self.KERNELS[kernel], 60, 1000, 1e-3
+        samples = (sample_adjacency(W, n, seed) for seed in range(replicates))
+        counted = np.array([[count_copies(H, A) for H in self.PATTERNS.values()] for A in samples])
+        bound = math.sqrt(math.log(2 / alpha) / (2 * replicates))
+        for H, counts in zip(self.PATTERNS.values(), counted.T):
+            law = exact_law(H, W, n)
+            assert set(counts.tolist()) <= law.keys()  # so the sup is taken at the atoms
+            atoms = np.array(list(law))
+            cdf = np.cumsum([float(p) for p in law.values()])
+            empirical = np.searchsorted(np.sort(counts), atoms, side="right") / replicates
+            assert np.max(np.abs(empirical - cdf)) <= bound

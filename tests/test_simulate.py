@@ -806,7 +806,8 @@ class TestCli:
 
     def test_constants_print_the_same_text_from_cold_and_warm_grids(self, capsys):
         # the constants calls of the exact_constants benchmark: each on grids
-        # built afresh, then on grids kept from the call before and from itself
+        # built afresh, then on grids kept from the call before and from
+        # itself, then once more in turn, as a warm benchmark unit runs them
         calls = [*((name, "256") for name in ("k2", "star2", "k3", "path3", "star3", "cycle4")),
                  ("k4", "4")]
 
@@ -820,6 +821,18 @@ class TestCli:
             cold.append(printed(name, m))
         warm = [[printed(name, m), printed(name, m)] for name, m in calls]
         assert warm == [[text, text] for text in cold]
+
+        # the four grids of a unit stay kept: a warm unit builds no grid and no product
+        grids = [graphon.discretize(KernelSpec.product(), m) for m in (256, 512, 4, 8)]
+        misses = graphon.discretize.cache_info().misses
+        kept = [dict(W._two_steps) for W in grids]
+        assert kept[0] and kept[1]  # k4's contractions at m = 4 and 8 keep none
+        assert [printed(name, m) for name, m in calls] == cold
+        assert graphon.discretize.cache_info().misses == misses
+        for m, W, products in zip((256, 512, 4, 8), grids, kept):
+            assert graphon.discretize(KernelSpec.product(), m) is W
+            assert W._two_steps.keys() == products.keys()
+            assert all(W._two_steps[key] is P for key, P in products.items())
 
     def test_a_warm_repeat_builds_no_grid_and_no_product(self, capsys):
         argv = ["constants", "--pattern", "k3", "--kernel", "product", "--m", "64"]
